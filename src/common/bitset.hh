@@ -106,6 +106,19 @@ class DynamicBitset
         return (words[pos >> 6] >> (pos & 63)) & 1;
     }
 
+    /**
+     * Overwrite bits [64 * @p index, 64 * @p index + 64) with @p bits.
+     * Bits at or past size() must be clear in @p bits.
+     */
+    void
+    assignWord(std::size_t index, std::uint64_t bits)
+    {
+        assert(index < words.size());
+        assert(index + 1 < words.size() || (numBits & 63) == 0 ||
+               (bits >> (numBits & 63)) == 0);
+        words[index] = bits;
+    }
+
     /** Clear every bit. */
     void
     clear()

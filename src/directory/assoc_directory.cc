@@ -29,8 +29,8 @@ AssocDirectory::AssocDirectory(std::size_t num_caches, unsigned num_ways,
                                std::size_t num_sets, SharerFormat fmt,
                                HashKind hash, std::uint64_t hash_seed)
     : Directory(num_caches),
-      format(fmt),
       hashKind(hash),
+      sharers(fmt, num_caches),
       family(makeHashFamily(hash, num_ways, num_sets, hash_seed)),
       ways(num_ways),
       sets(num_sets),
@@ -38,10 +38,9 @@ AssocDirectory::AssocDirectory(std::size_t num_caches, unsigned num_ways,
       tags(std::size_t{num_ways} * num_sets, 0),
       valids(std::size_t{num_ways} * num_sets, 0),
       lastUses(std::size_t{num_ways} * num_sets, 0),
-      reps(std::size_t{num_ways} * num_sets)
+      sharerWords(std::size_t{num_ways} * num_sets * sharers.words(), 0)
 {
     assert(num_ways >= 1 && num_ways <= kMaxProbeWays);
-    prefillRepPool(fmt, tags.size());
 }
 
 std::size_t
@@ -105,7 +104,7 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
         out.hit = true;
         ++statistics.hits;
         lastUses[found] = useClock;
-        updateEntryOnHit(*reps[found], request, ctx, out);
+        updateEntryOnHit(sharers, entry(found), request, ctx, out);
         return;
     }
 
@@ -142,17 +141,16 @@ AssocDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     if (valids[victim] != 0) {
         EvictedEntry &evicted = ctx.appendEviction(out);
         evicted.tag = tags[victim];
-        reps[victim]->invalidationTargets(evicted.targets);
+        sharers.targets(entry(victim), evicted.targets);
         ++statistics.forcedEvictions;
         statistics.forcedBlockInvalidations += evicted.targets.count();
-        reps[victim]->clear(); // reuse the evicted entry's rep in place
+        sharers.clear(entry(victim));
     } else {
         ++occupied;
-        reps[victim] = acquireRep(format);
     }
 
     tags[victim] = request.tag;
-    reps[victim]->add(request.cache);
+    sharers.add(entry(victim), request.cache);
     valids[victim] = 1;
     lastUses[victim] = useClock;
 
@@ -170,22 +168,21 @@ AssocDirectory::removeSharer(Tag tag, CacheId cache)
     if (p == npos)
         return;
     ++statistics.sharerRemovals;
-    if (reps[p]->remove(cache)) {
+    if (sharers.remove(entry(p), cache)) {
         valids[p] = 0;
-        recycleRep(std::move(reps[p]));
         --occupied;
         ++statistics.entryFrees;
     }
 }
 
 bool
-AssocDirectory::probe(Tag tag, DynamicBitset *sharers) const
+AssocDirectory::probe(Tag tag, DynamicBitset *targets) const
 {
     const std::size_t p = findPosOf(tag);
     if (p == npos)
         return false;
-    if (sharers)
-        reps[p]->invalidationTargets(*sharers);
+    if (targets)
+        sharers.targets(&sharerWords[p * sharers.words()], *targets);
     return true;
 }
 

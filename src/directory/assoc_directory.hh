@@ -11,8 +11,8 @@
  * (a conventional set), Skewed uses a different skewing function per
  * way, which breaks *direct* conflicts but not transitive ones (§4).
  *
- * Tags, valid bytes, LRU stamps, and sharer reps live in parallel SoA
- * arrays, with the stride chosen per hash kind: Modulo indexing means
+ * Tags, valid bytes, LRU stamps, and sharer words (SharerCodec::words()
+ * per entry) live in parallel SoA arrays, with the stride chosen per hash kind: Modulo indexing means
  * every way probes the same set, so storage is set-major
  * (pos = idx*ways + w) and one probe's candidates are a single
  * contiguous run — eight 8B tags in one cache line instead of eight
@@ -58,16 +58,11 @@ class AssocDirectory : public Directory
     std::size_t
     memoryBytes() const override
     {
-        std::size_t total =
-            sizeof(*this) + tags.capacity() * sizeof(Tag) +
-            valids.capacity() * sizeof(std::uint8_t) +
-            lastUses.capacity() * sizeof(std::uint64_t) +
-            reps.capacity() * sizeof(std::unique_ptr<SharerRep>) +
-            pooledRepBytes();
-        for (const auto &rep : reps)
-            if (rep)
-                total += rep->memoryBytes();
-        return total;
+        return sizeof(*this) + tags.capacity() * sizeof(Tag) +
+               valids.capacity() * sizeof(std::uint8_t) +
+               lastUses.capacity() * sizeof(std::uint64_t) +
+               sharerWords.capacity() * sizeof(SharerCodec::Word) +
+               sharers.spillBytes();
     }
 
   private:
@@ -80,14 +75,20 @@ class AssocDirectory : public Directory
         return setMajor ? index * ways + way : std::size_t{way} * sets + index;
     }
 
+    /** Sharer words of the entry at position @p p. */
+    SharerCodec::Word *entry(std::size_t p)
+    {
+        return &sharerWords[p * sharers.words()];
+    }
+
     /** Position of @p tag, or npos. */
     std::size_t findPosOf(Tag tag) const;
 
     /** findPosOf with the way indices already computed. */
     std::size_t findPosWithIdx(Tag tag, const std::size_t *idx) const;
 
-    SharerFormat format;
     HashKind hashKind;
+    SharerCodec sharers;
     std::unique_ptr<HashFamily> family;
     unsigned ways;
     std::size_t sets;
@@ -96,7 +97,7 @@ class AssocDirectory : public Directory
     std::vector<Tag> tags;                         //!< SoA tag lane
     std::vector<std::uint8_t> valids;              //!< SoA valid lane
     std::vector<std::uint64_t> lastUses;           //!< SoA LRU lane
-    std::vector<std::unique_ptr<SharerRep>> reps;  //!< SoA payload lane
+    std::vector<SharerCodec::Word> sharerWords;    //!< SoA payload lane
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
 };

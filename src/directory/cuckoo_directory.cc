@@ -1,6 +1,5 @@
 #include "directory/cuckoo_directory.hh"
 
-#include <cassert>
 #include <sstream>
 
 #include "directory/registry.hh"
@@ -24,41 +23,39 @@ CuckooDirectory::CuckooDirectory(std::size_t num_caches, unsigned ways,
                                  unsigned bucket_slots,
                                  unsigned stash_entries)
     : Directory(num_caches),
-      format(fmt),
       hashKind(hash),
+      sharers(fmt, num_caches),
       family(makeHashFamily(hash, ways, sets_per_way, hash_seed)),
-      table(*family, max_attempts, bucket_slots),
-      stashCapacity(stash_entries)
+      table(*family, max_attempts, bucket_slots, sharers.words()),
+      stashCapacity(stash_entries),
+      stashWords(std::size_t{stash_entries} * sharers.words(), 0),
+      carry(sharers.words(), 0)
 {
-    stash.reserve(stash_entries);
-    // +1 covers the in-flight rep a give-up insertion holds while the
-    // table and stash are both full.
-    prefillRepPool(fmt, table.capacity() + stash_entries + 1);
+    stashTags.reserve(stash_entries);
 }
 
-CuckooDirectory::StashEntry *
-CuckooDirectory::findStash(Tag tag)
+std::size_t
+CuckooDirectory::findStash(Tag tag) const
 {
-    for (StashEntry &e : stash)
-        if (e.tag == tag)
-            return &e;
-    return nullptr;
+    for (std::size_t i = 0; i < stashTags.size(); ++i)
+        if (stashTags[i] == tag)
+            return i;
+    return npos;
 }
 
 void
 CuckooDirectory::drainStash()
 {
-    if (stash.empty())
+    if (stashTags.empty())
         return;
-    StashEntry entry = std::move(stash.back());
-    stash.pop_back();
-    auto ins = table.insert(entry.tag, std::move(entry.rep));
-    if (ins.discarded) {
-        // No room yet: park the (possibly different) displaced entry.
-        assert(ins.discardedPayload.has_value());
-        stash.push_back(
-            {ins.discardedTag, std::move(*ins.discardedPayload)});
-    }
+    // The last stash entry's own words serve as the carry: a discarded
+    // (possibly different) entry lands right back in its place.
+    const std::size_t last = stashTags.size() - 1;
+    auto ins = table.insertCarry(stashTags[last], stashEntry(last));
+    if (ins.discarded)
+        stashTags[last] = ins.discardedTag;
+    else
+        stashTags.pop_back();
 }
 
 void
@@ -67,23 +64,23 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     DirAccessOutcome &out = ctx.beginOutcome();
     ++statistics.lookups;
 
-    if (Rep *rep = table.find(request.tag)) {
+    if (Word *entry = table.find(request.tag)) {
         out.hit = true;
         ++statistics.hits;
-        updateEntryOnHit(**rep, request, ctx, out);
+        updateEntryOnHit(sharers, entry, request, ctx, out);
         return;
     }
-    if (StashEntry *entry = findStash(request.tag)) {
+    if (const std::size_t i = findStash(request.tag); i != npos) {
         out.hit = true;
         ++statistics.hits;
-        updateEntryOnHit(*entry->rep, request, ctx, out);
+        updateEntryOnHit(sharers, stashEntry(i), request, ctx, out);
         return;
     }
 
-    // Miss: allocate an entry tracking the requester.
-    Rep rep = acquireRep(format);
-    rep->add(request.cache);
-    auto ins = table.insert(request.tag, std::move(rep));
+    // Miss: allocate an entry tracking the requester. The carry words
+    // are empty here, because vacated slots hold empty words.
+    sharers.add(carry.data(), request.cache);
+    auto ins = table.insertCarry(request.tag, carry.data());
 
     out.inserted = true;
     out.attempts = ins.attempts;
@@ -92,12 +89,11 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
     statistics.attemptHistogram.add(ins.attempts);
 
     if (ins.discarded) {
-        assert(ins.discardedPayload.has_value());
-        if (stash.size() < stashCapacity) {
+        if (stashTags.size() < stashCapacity) {
             // Kirsch-style stash extension: park the overflow entry
             // instead of invalidating its blocks.
-            stash.push_back(
-                {ins.discardedTag, std::move(*ins.discardedPayload)});
+            sharers.move(carry.data(), stashEntry(stashTags.size()));
+            stashTags.push_back(ins.discardedTag);
             ++stashAbsorbs;
         } else {
             out.insertDiscarded = true;
@@ -105,9 +101,9 @@ CuckooDirectory::access(const DirRequest &request, DirAccessContext &ctx)
             ++statistics.forcedEvictions;
             EvictedEntry &evicted = ctx.appendEviction(out);
             evicted.tag = ins.discardedTag;
-            (*ins.discardedPayload)->invalidationTargets(evicted.targets);
+            sharers.targets(carry.data(), evicted.targets);
             statistics.forcedBlockInvalidations += evicted.targets.count();
-            recycleRep(std::move(*ins.discardedPayload));
+            sharers.clear(carry.data());
         }
     }
 }
@@ -116,14 +112,13 @@ void
 CuckooDirectory::removeSharer(Tag tag, CacheId cache)
 {
     const std::size_t pos = table.findPos(tag);
-    if (pos != CuckooTable<Rep>::npos) {
+    if (pos != CuckooTable<Word>::npos) {
         ++statistics.sharerRemovals;
-        Rep &rep = table.payloadAt(pos);
-        if (rep->remove(cache)) {
+        if (sharers.remove(&table.payloadAt(pos), cache)) {
             // One probe serves both the removal and the free: erase at
             // the position the lookup already found instead of
-            // re-probing all ways.
-            recycleRep(table.eraseAt(pos));
+            // re-probing all ways. The emptied words stay in the slot.
+            table.eraseAt(pos);
             ++statistics.entryFrees;
             // A freed slot is the opportunity to re-home a parked
             // overflow entry.
@@ -131,39 +126,38 @@ CuckooDirectory::removeSharer(Tag tag, CacheId cache)
         }
         return;
     }
-    if (StashEntry *entry = findStash(tag)) {
+    if (const std::size_t i = findStash(tag); i != npos) {
         ++statistics.sharerRemovals;
-        if (entry->rep->remove(cache)) {
-            recycleRep(std::move(entry->rep));
-            if (entry != &stash.back())
-                *entry = std::move(stash.back());
-            stash.pop_back();
+        if (sharers.remove(stashEntry(i), cache)) {
+            // Move the last stash entry into the emptied place.
+            const std::size_t last = stashTags.size() - 1;
+            sharers.move(stashEntry(last), stashEntry(i));
+            stashTags[i] = stashTags[last];
+            stashTags.pop_back();
             ++statistics.entryFrees;
         }
     }
 }
 
 bool
-CuckooDirectory::probe(Tag tag, DynamicBitset *sharers) const
+CuckooDirectory::probe(Tag tag, DynamicBitset *targets) const
 {
-    if (const Rep *rep = table.find(tag)) {
-        if (sharers)
-            (*rep)->invalidationTargets(*sharers);
-        return true;
+    const Word *entry = table.find(tag);
+    if (entry == nullptr) {
+        const std::size_t i = findStash(tag);
+        if (i == npos)
+            return false;
+        entry = &stashWords[i * sharers.words()];
     }
-    auto *self = const_cast<CuckooDirectory *>(this);
-    if (StashEntry *entry = self->findStash(tag)) {
-        if (sharers)
-            entry->rep->invalidationTargets(*sharers);
-        return true;
-    }
-    return false;
+    if (targets)
+        sharers.targets(entry, *targets);
+    return true;
 }
 
 std::size_t
 CuckooDirectory::validEntries() const
 {
-    return table.size() + stash.size();
+    return table.size() + stashTags.size();
 }
 
 std::size_t

@@ -10,6 +10,10 @@
  * which breaks transitive set conflicts and drives forced invalidations
  * to near zero at a fraction of a Sparse directory's capacity
  * (Figs. 9 and 12).
+ *
+ * Each entry's sharer set lives inline in the table's payload lane as
+ * SharerCodec::words() words per slot, so a hit touches the tag lane
+ * and the entry's own payload words and nothing else.
  */
 
 #ifndef CDIR_DIRECTORY_CUCKOO_DIRECTORY_HH
@@ -60,7 +64,7 @@ class CuckooDirectory : public Directory
     }
 
     /** Entries currently parked in the overflow stash. */
-    std::size_t stashSize() const { return stash.size(); }
+    std::size_t stashSize() const { return stashTags.size(); }
 
     /** Discards absorbed by the stash instead of invalidating blocks. */
     std::uint64_t stashAbsorbed() const { return stashAbsorbs; }
@@ -68,39 +72,41 @@ class CuckooDirectory : public Directory
     std::size_t
     memoryBytes() const override
     {
-        std::size_t total =
-            sizeof(*this) + pooledRepBytes() +
-            table.memoryBytes([](const Rep &rep) {
-                return rep ? rep->memoryBytes() : std::size_t{0};
-            }) +
-            stash.capacity() * sizeof(StashEntry);
-        for (const auto &entry : stash)
-            if (entry.rep)
-                total += entry.rep->memoryBytes();
-        return total;
+        return sizeof(*this) + table.memoryBytes() +
+               stashTags.capacity() * sizeof(Tag) +
+               (stashWords.capacity() + carry.capacity()) * sizeof(Word) +
+               sharers.spillBytes();
     }
 
   private:
-    using Rep = std::unique_ptr<SharerRep>;
+    using Word = SharerCodec::Word;
+    static constexpr std::size_t npos = ~std::size_t{0};
 
-    struct StashEntry
+    /** Stash index of @p tag, or npos. */
+    std::size_t findStash(Tag tag) const;
+
+    /** Sharer words of stash entry @p i. */
+    Word *stashEntry(std::size_t i)
     {
-        Tag tag;
-        Rep rep;
-    };
-
-    /** Stash lookup; nullptr if absent. */
-    StashEntry *findStash(Tag tag);
+        return &stashWords[i * sharers.words()];
+    }
 
     /** Opportunistically drain one stash entry back into the table. */
     void drainStash();
 
-    SharerFormat format;
     HashKind hashKind;
+    SharerCodec sharers;
     std::unique_ptr<HashFamily> family;
-    CuckooTable<Rep> table;
+    CuckooTable<Word> table;
     unsigned stashCapacity;
-    std::vector<StashEntry> stash;
+    std::vector<Tag> stashTags;  //!< live stash entries, in order
+    std::vector<Word> stashWords; //!< their sharer words, same order
+    /**
+     * Sharer words of the entry being inserted. insertCarry() swaps them
+     * along the displacement chain; afterwards they hold the vacated
+     * slot's (empty) words or the discarded entry.
+     */
+    std::vector<Word> carry;
     std::uint64_t stashAbsorbs = 0;
 };
 

@@ -30,12 +30,16 @@
  * them with the branchless match-mask kernel — the software analogue of
  * the parallel way comparators the paper's hardware fires.
  *
- * The payload type only needs to be movable.
+ * The payload type only needs to be movable. A table built with a
+ * payload stride > 1 gives every slot that many consecutive payload
+ * elements (the Cuckoo directory stores an entry's sharer words this
+ * way) and is filled through insertCarry().
  */
 
 #ifndef CDIR_DIRECTORY_CUCKOO_TABLE_HH
 #define CDIR_DIRECTORY_CUCKOO_TABLE_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <optional>
@@ -74,22 +78,25 @@ class CuckooTable
      *        paper's design; >1 implements Panigrahy's bucketized
      *        variant [30], which §6 notes "may offer additional
      *        improvement ... at high directory occupancy".
+     * @param payload_stride payload elements per slot.
      */
     CuckooTable(const HashFamily &family, unsigned max_attempts = 32,
-                unsigned bucket_slots = 1)
+                unsigned bucket_slots = 1, unsigned payload_stride = 1)
         : hashes(family),
           ways(family.numWays()),
           sets(family.setsPerWay()),
           maxAttempts(max_attempts),
           bucketSlots(bucket_slots),
+          stride(payload_stride),
           tags(std::size_t{ways} * sets * bucket_slots, 0),
           valids(std::size_t{ways} * sets * bucket_slots, 0),
-          payloads(std::size_t{ways} * sets * bucket_slots)
+          payloads(std::size_t{ways} * sets * bucket_slots * payload_stride)
     {
         assert(ways >= 2 && "cuckoo displacement needs >= 2 ways");
         assert(ways <= kMaxProbeWays);
         assert(max_attempts >= 1);
         assert(bucket_slots >= 1 && bucket_slots <= kKernelWidth);
+        assert(payload_stride >= 1);
     }
 
     /**
@@ -135,7 +142,7 @@ class CuckooTable
     find(Tag tag)
     {
         const std::size_t pos = findPos(tag);
-        return pos == npos ? nullptr : &payloads[pos];
+        return pos == npos ? nullptr : &payloads[pos * stride];
     }
 
     /** @copydoc find */
@@ -145,12 +152,15 @@ class CuckooTable
         return const_cast<CuckooTable *>(this)->find(tag);
     }
 
-    /** Payload stored at a position returned by findPos(). */
+    /**
+     * Payload stored at a position returned by findPos() (the first of
+     * the slot's stride elements).
+     */
     Payload &
     payloadAt(std::size_t pos)
     {
         assert(pos < tags.size() && valids[pos] != 0);
-        return payloads[pos];
+        return payloads[pos * stride];
     }
 
     /** Tag stored at a position returned by findPos(). */
@@ -168,11 +178,28 @@ class CuckooTable
     InsertResult
     insert(Tag tag, Payload &&payload)
     {
+        assert(stride == 1);
+        Payload carry = std::move(payload);
+        InsertResult result = insertCarry(tag, &carry);
+        if (result.discarded)
+            result.discardedPayload = std::move(carry);
+        return result;
+    }
+
+    /**
+     * Insert @p tag carrying the stride payload elements at @p carry.
+     * Payloads are swapped along the displacement chain, so on return
+     * @p carry holds the former contents of the slot the chain ended
+     * in or, when the attempt bound discarded an element, that
+     * element's payload (InsertResult::discardedPayload stays empty).
+     */
+    InsertResult
+    insertCarry(Tag tag, Payload *carry)
+    {
         assert(find(tag) == nullptr && "duplicate insert");
         InsertResult result;
 
         Tag cur_tag = tag;
-        Payload cur_payload = std::move(payload);
         unsigned way = nextWay;
         std::size_t idx[kMaxProbeWays];
 
@@ -189,7 +216,7 @@ class CuckooTable
             const std::size_t vacant = findVacantPos(idx, way, placed_way);
             if (vacant != npos) {
                 tags[vacant] = cur_tag;
-                payloads[vacant] = std::move(cur_payload);
+                swapPayload(carry, vacant);
                 valids[vacant] = 1;
                 ++occupied;
                 nextWay = (placed_way + 1) % ways;
@@ -202,7 +229,6 @@ class CuckooTable
                 // blocks it tracked.
                 result.discarded = true;
                 result.discardedTag = cur_tag;
-                result.discardedPayload = std::move(cur_payload);
                 nextWay = way;
                 return result;
             }
@@ -216,14 +242,14 @@ class CuckooTable
             ++victimRotor;
             assert(valids[victim] != 0);
             std::swap(cur_tag, tags[victim]);
-            std::swap(cur_payload, payloads[victim]);
+            swapPayload(carry, victim);
             way = (way + 1) % ways;
         }
     }
 
     /**
      * Remove the element at a position returned by findPos().
-     * @return the payload that occupied the slot.
+     * @return the payload that occupied the slot (its first element).
      */
     Payload
     eraseAt(std::size_t pos)
@@ -231,7 +257,7 @@ class CuckooTable
         assert(pos < tags.size() && valids[pos] != 0);
         valids[pos] = 0;
         --occupied;
-        return std::move(payloads[pos]);
+        return std::move(payloads[pos * stride]);
     }
 
     /**
@@ -297,26 +323,16 @@ class CuckooTable
         const std::size_t n = tags.size();
         for (std::size_t i = 0; i < n; ++i)
             if (valids[i] != 0)
-                visitor(tags[i], payloads[i]);
+                visitor(tags[i], payloads[i * stride]);
     }
 
-    /**
-     * Host bytes of the SoA lanes plus the payloads' owned storage:
-     * @p payload_bytes maps a valid payload to the heap it owns (e.g. a
-     * sharer rep's memoryBytes()). Feeds Directory::memoryBytes().
-     */
-    template <typename PayloadBytes>
+    /** Host bytes of the SoA lanes. Feeds Directory::memoryBytes(). */
     std::size_t
-    memoryBytes(PayloadBytes &&payload_bytes) const
+    memoryBytes() const
     {
-        std::size_t total = tags.capacity() * sizeof(Tag) +
-                            valids.capacity() * sizeof(std::uint8_t) +
-                            payloads.capacity() * sizeof(Payload);
-        const std::size_t n = tags.size();
-        for (std::size_t i = 0; i < n; ++i)
-            if (valids[i] != 0)
-                total += payload_bytes(payloads[i]);
-        return total;
+        return tags.capacity() * sizeof(Tag) +
+               valids.capacity() * sizeof(std::uint8_t) +
+               payloads.capacity() * sizeof(Payload);
     }
 
     /** Occupancy of one way (test support for uniform-way utilization). */
@@ -333,6 +349,13 @@ class CuckooTable
     }
 
   private:
+    /** Exchange the stride elements at @p carry with slot @p pos's. */
+    void
+    swapPayload(Payload *carry, std::size_t pos)
+    {
+        std::swap_ranges(carry, carry + stride, &payloads[pos * stride]);
+    }
+
     /**
      * Position of the first vacant candidate slot given precomputed way
      * indices @p idx, scanning ways from @p start and wrapping;
@@ -362,6 +385,7 @@ class CuckooTable
     std::size_t sets;
     unsigned maxAttempts;
     unsigned bucketSlots;
+    unsigned stride;                 //!< payload elements per slot
     std::vector<Tag> tags;           //!< SoA tag lane (8B/entry)
     std::vector<std::uint8_t> valids; //!< SoA valid lane (1B/entry)
     std::vector<Payload> payloads;   //!< SoA payload lane

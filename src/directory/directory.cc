@@ -1,5 +1,8 @@
 #include "directory/directory.hh"
 
+#include <cctype>
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "directory/registry.hh"
@@ -7,13 +10,29 @@
 namespace cdir {
 
 unsigned
+Directory::parsePrefetchDistance(const char *value)
+{
+    if (value == nullptr)
+        return kDefaultPrefetchDistance;
+    // strtoul alone would read "abc" as 0 and "-1" as a huge distance.
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long parsed = std::strtoul(value, &end, 10);
+    if (std::isdigit(static_cast<unsigned char>(value[0])) && *end == '\0' &&
+        errno == 0 && parsed <= kMaxPrefetchDistance)
+        return static_cast<unsigned>(parsed);
+    std::fprintf(stderr,
+                 "warning: ignoring CDIR_PREFETCH_DIST='%s' (want an "
+                 "integer in [0, %u]); using %u\n",
+                 value, kMaxPrefetchDistance, kDefaultPrefetchDistance);
+    return kDefaultPrefetchDistance;
+}
+
+unsigned
 Directory::prefetchDistance()
 {
-    static const unsigned distance = [] {
-        if (const char *env = std::getenv("CDIR_PREFETCH_DIST"))
-            return static_cast<unsigned>(std::strtoul(env, nullptr, 10));
-        return 8u;
-    }();
+    static const unsigned distance =
+        parsePrefetchDistance(std::getenv("CDIR_PREFETCH_DIST"));
     return distance;
 }
 
@@ -34,75 +53,24 @@ Directory::accessBatch(std::span<const DirRequest> requests,
     }
 }
 
-Directory::~Directory()
-{
-    while (repFree != nullptr) {
-        SharerRep *next = repFree->poolNext;
-        delete repFree;
-        repFree = next;
-    }
-}
-
-std::unique_ptr<SharerRep>
-Directory::acquireRep(SharerFormat format)
-{
-    if (repFree != nullptr) {
-        SharerRep *rep = repFree;
-        repFree = rep->poolNext;
-        rep->poolNext = nullptr;
-        rep->clear();
-        return std::unique_ptr<SharerRep>(rep);
-    }
-    return makeSharerRep(format, caches);
-}
-
 void
-Directory::recycleRep(std::unique_ptr<SharerRep> rep)
-{
-    if (rep) {
-        SharerRep *node = rep.release();
-        node->poolNext = repFree;
-        repFree = node;
-    }
-}
-
-void
-Directory::prefillRepPool(SharerFormat format, std::size_t count)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        SharerRep *node = makeSharerRep(format, caches).release();
-        node->poolNext = repFree;
-        repFree = node;
-    }
-}
-
-std::size_t
-Directory::pooledRepBytes() const
-{
-    std::size_t total = 0;
-    for (const SharerRep *rep = repFree; rep != nullptr;
-         rep = rep->poolNext)
-        total += rep->memoryBytes();
-    return total;
-}
-
-void
-Directory::updateEntryOnHit(SharerRep &rep, const DirRequest &request,
-                            DirAccessContext &ctx, DirAccessOutcome &out)
+Directory::updateEntryOnHit(SharerCodec &sharers, SharerCodec::Word *entry,
+                            const DirRequest &request, DirAccessContext &ctx,
+                            DirAccessOutcome &out)
 {
     if (request.isWrite) {
         DynamicBitset &targets = ctx.sharerTargets(out);
-        rep.invalidationTargets(targets);
+        sharers.targets(entry, targets);
         if (request.cache < targets.size() && targets.test(request.cache))
             targets.reset(request.cache);
         if (targets.any()) {
             out.hadSharerInvalidations = true;
             ++statistics.writeUpgrades;
         }
-        rep.clear();
-        rep.add(request.cache);
+        sharers.clear(entry);
+        sharers.add(entry, request.cache);
     } else {
-        rep.add(request.cache);
+        sharers.add(entry, request.cache);
         ++statistics.sharerAdds;
     }
 }

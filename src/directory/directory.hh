@@ -44,7 +44,7 @@
 #include "common/types.hh"
 #include "directory/access_context.hh"
 #include "hash/hash_family.hh"
-#include "sharers/sharer_rep.hh"
+#include "sharers/sharer_codec.hh"
 
 namespace cdir {
 
@@ -112,7 +112,7 @@ class Directory
   public:
     /** @param num_caches private caches this slice can name. */
     explicit Directory(std::size_t num_caches) : caches(num_caches) {}
-    virtual ~Directory();
+    virtual ~Directory() = default;
 
     /**
      * Handle one read or write miss; append exactly one outcome (plus
@@ -143,10 +143,23 @@ class Directory
 
     /**
      * Lookahead (in requests) accessBatch() prefetches by. Seeded once
-     * from the CDIR_PREFETCH_DIST environment variable (default 8; 0
-     * disables prefetching).
+     * from the CDIR_PREFETCH_DIST environment variable through
+     * parsePrefetchDistance() (default 8; 0 disables prefetching).
      */
     static unsigned prefetchDistance();
+
+    /** Default and largest accepted prefetchDistance(). */
+    static constexpr unsigned kDefaultPrefetchDistance = 8;
+    static constexpr unsigned kMaxPrefetchDistance = 1024;
+
+    /**
+     * The prefetch distance CDIR_PREFETCH_DIST=@p value selects: a
+     * decimal integer in [0, kMaxPrefetchDistance]. A null @p value
+     * gives the default; anything else (non-numeric, negative, trailing
+     * junk, out of range) gives the default after a warning on stderr
+     * naming the variable and the value.
+     */
+    static unsigned parsePrefetchDistance(const char *value);
 
     /** Private cache @p cache evicted block @p tag. */
     virtual void removeSharer(Tag tag, CacheId cache) = 0;
@@ -171,8 +184,8 @@ class Directory
 
     /**
      * Estimated host-process bytes this slice occupies: the slice
-     * object, its table arrays (at vector capacity), every live sharer
-     * representation, and the recycled-rep pool. This is *simulator*
+     * object, its table arrays (at vector capacity; sharer sets live
+     * inline in them) and any sharer spill storage. This is *simulator*
      * footprint for RAM budgeting (ExperimentResult::estimatedBytes),
      * not the modelled hardware storage — that is storageBits()/the
      * analytical model. Deterministic for a given access history, so it
@@ -203,45 +216,17 @@ class Directory
 
   protected:
     /**
-     * Take a cleared sharer representation, recycling one returned via
-     * recycleRep() when possible so steady-state insertion churn stays
-     * allocation-free.
+     * Shared hit-path update of the sharer set @p entry (read through
+     * @p sharers): a write collects an invalidation vector for the other
+     * sharers (claimed from @p ctx) and leaves the writer as sole owner;
+     * a read adds a sharer.
      */
-    std::unique_ptr<SharerRep> acquireRep(SharerFormat format);
-
-    /** Return a representation freed by an emptied entry to the pool. */
-    void recycleRep(std::unique_ptr<SharerRep> rep);
-
-    /**
-     * Provision @p count representations up front (hardware reserves
-     * sharer storage for every entry slot); with the pool prefilled to
-     * capacity, acquireRep() never allocates after construction.
-     */
-    void prefillRepPool(SharerFormat format, std::size_t count);
-
-    /**
-     * Shared hit-path update: a write collects an invalidation vector
-     * for the other sharers (claimed from @p ctx) and leaves the writer
-     * as sole owner; a read adds a sharer.
-     */
-    void updateEntryOnHit(SharerRep &rep, const DirRequest &request,
-                          DirAccessContext &ctx, DirAccessOutcome &out);
-
-    /** Bytes held by the recycled-rep free list (for memoryBytes()). */
-    std::size_t pooledRepBytes() const;
+    void updateEntryOnHit(SharerCodec &sharers, SharerCodec::Word *entry,
+                          const DirRequest &request, DirAccessContext &ctx,
+                          DirAccessOutcome &out);
 
     std::size_t caches;
     DirectoryStats statistics;
-
-  private:
-    /**
-     * Head of the intrusive rep free-list: recycled reps chain through
-     * SharerRep::poolNext, so acquire/recycle are two pointer moves
-     * with no separate free-list array (LIFO, like the historical
-     * vector pool's push/pop — reuse order is unchanged). The pool owns
-     * the chained reps; the destructor frees them.
-     */
-    SharerRep *repFree = nullptr;
 };
 
 /**

@@ -60,16 +60,11 @@ class ElbowDirectory : public Directory
     std::size_t
     memoryBytes() const override
     {
-        std::size_t total =
-            sizeof(*this) + tags.capacity() * sizeof(Tag) +
-            valids.capacity() * sizeof(std::uint8_t) +
-            lastUses.capacity() * sizeof(std::uint64_t) +
-            reps.capacity() * sizeof(std::unique_ptr<SharerRep>) +
-            pooledRepBytes();
-        for (const auto &rep : reps)
-            if (rep)
-                total += rep->memoryBytes();
-        return total;
+        return sizeof(*this) + tags.capacity() * sizeof(Tag) +
+               valids.capacity() * sizeof(std::uint8_t) +
+               lastUses.capacity() * sizeof(std::uint64_t) +
+               sharerWords.capacity() * sizeof(SharerCodec::Word) +
+               sharers.spillBytes();
     }
 
   private:
@@ -82,10 +77,16 @@ class ElbowDirectory : public Directory
         return std::size_t{way} * sets + index;
     }
 
+    /** Sharer words of the entry at position @p p. */
+    SharerCodec::Word *entry(std::size_t p)
+    {
+        return &sharerWords[p * sharers.words()];
+    }
+
     /** Position of @p tag, or npos. */
     std::size_t findPosOf(Tag tag) const;
 
-    SharerFormat format;
+    SharerCodec sharers;
     std::unique_ptr<HashFamily> family;
     unsigned ways;
     std::size_t sets;
@@ -93,7 +94,7 @@ class ElbowDirectory : public Directory
     std::vector<Tag> tags;                         //!< SoA tag lane
     std::vector<std::uint8_t> valids;              //!< SoA valid lane
     std::vector<std::uint64_t> lastUses;           //!< SoA LRU lane
-    std::vector<std::unique_ptr<SharerRep>> reps;  //!< SoA payload lane
+    std::vector<SharerCodec::Word> sharerWords;    //!< SoA payload lane
     std::size_t occupied = 0;
     std::uint64_t useClock = 0;
     std::uint64_t relocated = 0;

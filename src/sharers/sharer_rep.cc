@@ -1,49 +1,60 @@
 #include "sharers/sharer_rep.hh"
 
-#include "common/bit_util.hh"
-#include "sharers/coarse_vector.hh"
-#include "sharers/compressed_vector.hh"
-#include "sharers/full_vector.hh"
-#include "sharers/hierarchical_vector.hh"
+#include <array>
 
 namespace cdir {
+
+namespace {
+
+/** One entry's words plus the codec that reads them. */
+class CodecRep final : public SharerRep
+{
+  public:
+    CodecRep(SharerFormat format, std::size_t num_caches)
+        : codec(format, num_caches)
+    {}
+
+    void add(CacheId cache) override { codec.add(entry.data(), cache); }
+    bool
+    remove(CacheId cache) override
+    {
+        return codec.remove(entry.data(), cache);
+    }
+    bool
+    mightContain(CacheId cache) const override
+    {
+        return codec.mightContain(entry.data(), cache);
+    }
+    void
+    invalidationTargets(DynamicBitset &out) const override
+    {
+        codec.targets(entry.data(), out);
+    }
+    std::size_t count() const override { return codec.count(entry.data()); }
+    bool precise() const override { return codec.precise(entry.data()); }
+    unsigned
+    storageBits() const override
+    {
+        return codec.storageBits(entry.data());
+    }
+    std::size_t
+    memoryBytes() const override
+    {
+        return sizeof(*this) + codec.spillBytes();
+    }
+    void clear() override { codec.clear(entry.data()); }
+
+  private:
+    SharerCodec codec;
+    std::array<SharerCodec::Word, SharerCodec::kMaxWords> entry{};
+};
+
+} // namespace
 
 std::unique_ptr<SharerRep>
 makeSharerRep(SharerFormat format, std::size_t num_caches)
 {
-    switch (format) {
-      case SharerFormat::FullVector:
-        return std::make_unique<FullVectorRep>(num_caches);
-      case SharerFormat::CoarseVector:
-        return std::make_unique<CoarseVectorRep>(num_caches);
-      case SharerFormat::Hierarchical:
-        return std::make_unique<HierarchicalVectorRep>(num_caches);
-      case SharerFormat::Compressed:
-        return std::make_unique<CompressedVectorRep>(num_caches);
-    }
-    return nullptr;
-}
-
-unsigned
-sharerStorageBits(SharerFormat format, std::size_t num_caches)
-{
-    switch (format) {
-      case SharerFormat::FullVector:
-      case SharerFormat::Compressed: // word-packed full vector
-        return static_cast<unsigned>(num_caches);
-      case SharerFormat::CoarseVector:
-        return 2 * bitsToName(num_caches);
-      case SharerFormat::Hierarchical: {
-        // Primary-entry cost: root vector sized one bit per cluster of
-        // isqrtCeil(N) caches (second-level entries live at secondary
-        // locations and are charged separately by the model). Exact
-        // integer math, matching HierarchicalVectorRep's geometry.
-        const auto cluster =
-            static_cast<std::size_t>(isqrtCeil(num_caches));
-        return static_cast<unsigned>((num_caches + cluster - 1) / cluster);
-      }
-    }
-    return 0;
+    return std::make_unique<CodecRep>(format, num_caches);
 }
 
 } // namespace cdir

@@ -1,22 +1,13 @@
 /**
  * @file
- * Sharer-set representations stored inside directory entries.
+ * Stand-alone sharer set behind a virtual interface.
  *
- * The paper composes the Cuckoo *organization* with existing entry
- * formats (§6: "the Cuckoo organization dictates only the organization of
- * the directory itself, not the contents of each entry"): full bit
- * vectors [9], coarse/limited-pointer vectors [17,24], and hierarchical
- * two-level vectors [44,45]. Each representation here is behavioural —
- * it answers "which caches must be invalidated" — and self-describing —
- * it reports the storage bits the analytical model charges for it.
- *
- * Imprecise representations (coarse) may return a superset of the true
- * sharers; the extra invalidations they cause are visible to the
- * simulator. All representations additionally maintain an exact sharer
- * count, mirroring hardware that frees an entry when the last sharer
- * evicts its block (§5.2); real coarse designs either keep such a count
- * or tolerate stale entries, and the paper's occupancy accounting assumes
- * the count exists.
+ * Directory organizations keep their sharer sets inline in their entry
+ * lanes and drive them through a SharerCodec directly (see
+ * sharer_codec.hh). SharerRep wraps one such entry together with its own
+ * codec for code that wants a single self-contained set — unit tests and
+ * the sharer kernel benchmark — so that code measures exactly what the
+ * directories run.
  */
 
 #ifndef CDIR_SHARERS_SHARER_REP_HH
@@ -27,12 +18,11 @@
 
 #include "common/bitset.hh"
 #include "common/types.hh"
+#include "sharers/sharer_codec.hh"
 
 namespace cdir {
 
-class Directory;
-
-/** Abstract sharer-set representation (see file comment). */
+/** One sharer set (see file comment and SharerCodec for semantics). */
 class SharerRep
 {
   public:
@@ -43,7 +33,7 @@ class SharerRep
 
     /**
      * Record that cache @p cache evicted the block.
-     * @return true iff the entry is now empty (last sharer left).
+     * @return true iff the set is now empty (last sharer left).
      */
     virtual bool remove(CacheId cache) = 0;
 
@@ -53,25 +43,20 @@ class SharerRep
     /**
      * Caches that must receive an invalidation: a superset of the true
      * sharers for imprecise representations.
-     * @param out bitset sized to the number of caches; overwritten.
+     * @param out resized to the number of caches and overwritten.
      */
     virtual void invalidationTargets(DynamicBitset &out) const = 0;
 
-    /** Exact number of sharers (bookkeeping; see file comment). */
+    /** Exact number of sharers. */
     virtual std::size_t count() const = 0;
 
-    /** True iff invalidationTargets() is always exact. */
+    /** True iff invalidationTargets() is currently exact. */
     virtual bool precise() const = 0;
 
-    /** Storage bits this representation occupies in one entry. */
+    /** Modelled storage bits this set occupies in one entry. */
     virtual unsigned storageBits() const = 0;
 
-    /**
-     * Host-process bytes this rep object occupies (object plus owned
-     * heap, counting vector *capacity* — the pools keep high-water
-     * storage). This is simulator footprint accounting for the RAM
-     * budgeting report, distinct from the modelled storageBits().
-     */
+    /** Host-process bytes of this object and the storage it owns. */
     virtual std::size_t memoryBytes() const = 0;
 
     /** Drop all sharers. */
@@ -79,40 +64,16 @@ class SharerRep
 
     /** True iff no sharers. */
     bool empty() const { return count() == 0; }
-
-  private:
-    /**
-     * Intrusive free-list link for Directory's per-slice rep pool: a
-     * recycled rep *is* its own free-list node, so acquire/recycle are
-     * two pointer moves with no side array to chase (the PR 7 profiling
-     * hot spot the std::vector pool showed). Only meaningful while the
-     * rep sits in the pool; always null while an entry owns the rep.
-     */
-    SharerRep *poolNext = nullptr;
-
-    friend class Directory;
-};
-
-/** Available representation formats. */
-enum class SharerFormat
-{
-    FullVector,    //!< one bit per cache (precise)
-    CoarseVector,  //!< 2*log2(N) bits: limited pointers, coarse fallback
-    Hierarchical,  //!< two-level bit vector (precise, cheaper storage)
-    Compressed,    //!< word-packed sparse full vector (precise; lean RAM)
 };
 
 /**
- * Create a representation instance.
+ * Create a stand-alone sharer set.
  *
- * @param format    which format to build.
+ * @param format     which format to build.
  * @param num_caches number of private caches tracked.
  */
 std::unique_ptr<SharerRep> makeSharerRep(SharerFormat format,
                                          std::size_t num_caches);
-
-/** Storage bits per entry for @p format over @p num_caches caches. */
-unsigned sharerStorageBits(SharerFormat format, std::size_t num_caches);
 
 } // namespace cdir
 

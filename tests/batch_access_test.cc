@@ -294,46 +294,71 @@ TEST(BatchAccess, SameWindowEvictionAfterInsertRetiresSharer)
 
 TEST(BatchAccess, SteadyStateChurnIsAllocationFree)
 {
-    for (const std::string &name : DirectoryRegistry::instance().names()) {
-        auto dir = DirectoryRegistry::instance().build(name, paramsFor(name));
-        DirAccessContext ctx = dir->makeContext();
-
-        // Steady-state churn: retire one tracked tag, insert a fresh
-        // one, sprinkle write upgrades to exercise the invalidation
-        // bitset pool. Two passes: the first grows every pool to its
-        // high-water mark, the second must not allocate at all.
-        std::vector<Tag> live;
-        Rng rng(17);
-        while (live.size() < 128) {
-            const Tag tag = rng.next() >> 8;
-            if (dir->probe(tag))
-                continue;
-            ctx.reset();
-            dir->access(DirRequest{tag, 0, false}, ctx);
-            live.push_back(tag);
+    // Every sharer format, at kCaches (one inline word per entry) and at
+    // 1024 caches, where each fresh entry's readers span more 64-cache
+    // words than the inline run holds, so it spills and then collapses
+    // back to its writer on the upgrade.
+    constexpr std::size_t kWideCaches = 1024;
+    for (const std::size_t caches : {kCaches, kWideCaches}) {
+        std::vector<CacheId> readers{1};
+        if (caches > 64) {
+            readers.clear();
+            for (CacheId w = 0; w < SharerCodec::kInlineWords + 2; ++w)
+                readers.push_back(w * 64 + 1);
         }
+        for (const SharerFormat format :
+             {SharerFormat::FullVector, SharerFormat::CoarseVector,
+              SharerFormat::Hierarchical, SharerFormat::Compressed}) {
+            for (const std::string &name :
+                 DirectoryRegistry::instance().names()) {
+                DirectoryParams params = paramsFor(name);
+                params.numCaches = caches;
+                params.format = format;
+                auto dir = DirectoryRegistry::instance().build(name, params);
+                DirAccessContext ctx = dir->makeContext();
 
-        auto churn = [&](std::size_t rounds) {
-            std::size_t k = 0;
-            for (std::size_t i = 0; i < rounds; ++i) {
-                k = (k + 1) % live.size();
-                dir->removeSharer(live[k], 0);
-                const Tag fresh = rng.next() >> 8;
-                ctx.reset();
-                dir->access(DirRequest{fresh, 0, false}, ctx);
-                dir->access(DirRequest{fresh, 1, false}, ctx);
-                dir->access(DirRequest{fresh, 0, true}, ctx);
-                live[k] = fresh;
+                // Steady-state churn: retire one tracked tag, insert a
+                // fresh one, share it, then write-upgrade it to exercise
+                // the invalidation bitset pool. Two passes: the first
+                // grows every pool to its high-water mark, the second
+                // must not allocate at all.
+                std::vector<Tag> live;
+                Rng rng(17);
+                while (live.size() < 128) {
+                    const Tag tag = rng.next() >> 8;
+                    if (dir->probe(tag))
+                        continue;
+                    ctx.reset();
+                    dir->access(DirRequest{tag, 0, false}, ctx);
+                    live.push_back(tag);
+                }
+
+                auto churn = [&](std::size_t rounds) {
+                    std::size_t k = 0;
+                    for (std::size_t i = 0; i < rounds; ++i) {
+                        k = (k + 1) % live.size();
+                        dir->removeSharer(live[k], 0);
+                        const Tag fresh = rng.next() >> 8;
+                        ctx.reset();
+                        dir->access(DirRequest{fresh, 0, false}, ctx);
+                        for (const CacheId reader : readers)
+                            dir->access(DirRequest{fresh, reader, false},
+                                        ctx);
+                        dir->access(DirRequest{fresh, 0, true}, ctx);
+                        live[k] = fresh;
+                    }
+                };
+
+                churn(4096); // warmup: grow pools, spill arenas, shadow maps
+                const std::size_t before = allocationCount();
+                churn(4096); // steady state
+                const std::size_t allocated = allocationCount() - before;
+                EXPECT_EQ(allocated, 0u)
+                    << name << " (" << caches << " caches, format "
+                    << static_cast<int>(format) << ") allocated "
+                    << allocated << " times in steady-state churn";
             }
-        };
-
-        churn(4096); // warmup: grow pools, rep free-lists, shadow maps
-        const std::size_t before = allocationCount();
-        churn(4096); // steady state
-        const std::size_t allocated = allocationCount() - before;
-        EXPECT_EQ(allocated, 0u)
-            << name << " allocated " << allocated
-            << " times in steady-state churn";
+        }
     }
 }
 

@@ -528,5 +528,36 @@ TEST(DirectoryFactory, KindNamesAreDistinct)
     EXPECT_EQ(names.size(), std::size(kAllKinds));
 }
 
+// --- prefetch distance ---------------------------------------------------------
+
+TEST(PrefetchDistance, AcceptsDecimalIntegersInRange)
+{
+    EXPECT_EQ(Directory::parsePrefetchDistance(nullptr),
+              Directory::kDefaultPrefetchDistance);
+    EXPECT_EQ(Directory::parsePrefetchDistance("0"), 0u);
+    EXPECT_EQ(Directory::parsePrefetchDistance("12"), 12u);
+    EXPECT_EQ(Directory::parsePrefetchDistance("1024"),
+              Directory::kMaxPrefetchDistance);
+}
+
+TEST(PrefetchDistance, RejectsBadValuesWithAWarning)
+{
+    // strtoul alone turns "abc" into 0 (prefetch off) and "-1" into a
+    // huge distance; each must fall back to the default, loudly.
+    for (const char *bad :
+         {"abc", "-1", "", " 8", "8x", "+8", "1025", "99999999999999999999"}) {
+        testing::internal::CaptureStderr();
+        EXPECT_EQ(Directory::parsePrefetchDistance(bad),
+                  Directory::kDefaultPrefetchDistance)
+            << "'" << bad << "'";
+        const std::string warning = testing::internal::GetCapturedStderr();
+        EXPECT_NE(warning.find("CDIR_PREFETCH_DIST"), std::string::npos)
+            << warning;
+        EXPECT_NE(warning.find(std::string("'") + bad + "'"),
+                  std::string::npos)
+            << warning;
+    }
+}
+
 } // namespace
 } // namespace cdir

@@ -1,20 +1,19 @@
 /**
  * @file
- * Unit and property tests for the sharer-set representations: precise
- * behaviour of the full vector, pointer/coarse transitions, hierarchical
- * allocation, and the universal never-false-negative invariant.
+ * Unit and property tests for the sharer sets: precise behaviour of the
+ * full vector, pointer/coarse transitions, hierarchical storage
+ * accounting, the wide inline run and its spill arena, and the
+ * universal never-false-negative invariant.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/bit_util.hh"
 #include "common/rng.hh"
-#include "sharers/coarse_vector.hh"
-#include "sharers/compressed_vector.hh"
-#include "sharers/full_vector.hh"
-#include "sharers/hierarchical_vector.hh"
+#include "sharers/sharer_codec.hh"
 #include "sharers/sharer_rep.hh"
 
 namespace cdir {
@@ -162,56 +161,57 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FullVector, PreciseTargets)
 {
-    FullVectorRep rep(16);
-    rep.add(3);
-    rep.add(9);
+    auto rep = makeSharerRep(SharerFormat::FullVector, 16);
+    rep->add(3);
+    rep->add(9);
     DynamicBitset targets;
-    rep.invalidationTargets(targets);
+    rep->invalidationTargets(targets);
     EXPECT_EQ(targets.count(), 2u);
     EXPECT_TRUE(targets.test(3));
     EXPECT_TRUE(targets.test(9));
-    EXPECT_TRUE(rep.precise());
+    EXPECT_TRUE(rep->precise());
 }
 
 TEST(FullVector, StorageIsOneBitPerCache)
 {
-    EXPECT_EQ(FullVectorRep(16).storageBits(), 16u);
-    EXPECT_EQ(FullVectorRep(1024).storageBits(), 1024u);
+    EXPECT_EQ(makeSharerRep(SharerFormat::FullVector, 16)->storageBits(),
+              16u);
+    EXPECT_EQ(makeSharerRep(SharerFormat::FullVector, 1024)->storageBits(),
+              1024u);
 }
 
 // --- CoarseVector specifics ----------------------------------------------------
 
 TEST(CoarseVector, StaysPreciseWithinPointerBudget)
 {
-    CoarseVectorRep rep(64); // budget = 2*6 = 12 bits, 2 pointers
-    rep.add(10);
-    rep.add(50);
-    EXPECT_TRUE(rep.precise());
-    EXPECT_FALSE(rep.isCoarse());
+    // budget = 2*6 = 12 bits, 2 pointers
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 64);
+    rep->add(10);
+    rep->add(50);
+    EXPECT_TRUE(rep->precise());
     DynamicBitset targets;
-    rep.invalidationTargets(targets);
+    rep->invalidationTargets(targets);
     EXPECT_EQ(targets.count(), 2u);
 }
 
 TEST(CoarseVector, OverflowSwitchesToCoarse)
 {
-    CoarseVectorRep rep(64);
-    rep.add(1);
-    rep.add(2);
-    rep.add(3); // third sharer overflows two pointers
-    EXPECT_TRUE(rep.isCoarse());
-    EXPECT_FALSE(rep.precise());
-    EXPECT_EQ(rep.count(), 3u);
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 64);
+    rep->add(1);
+    rep->add(2);
+    rep->add(3); // third sharer overflows two pointers
+    EXPECT_FALSE(rep->precise());
+    EXPECT_EQ(rep->count(), 3u);
 }
 
 TEST(CoarseVector, CoarseTargetsAreSuperset)
 {
-    CoarseVectorRep rep(64);
-    rep.add(0);
-    rep.add(20);
-    rep.add(40);
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 64);
+    rep->add(0);
+    rep->add(20);
+    rep->add(40);
     DynamicBitset targets;
-    rep.invalidationTargets(targets);
+    rep->invalidationTargets(targets);
     EXPECT_TRUE(targets.test(0));
     EXPECT_TRUE(targets.test(20));
     EXPECT_TRUE(targets.test(40));
@@ -222,37 +222,41 @@ TEST(CoarseVector, CoarseTargetsAreSuperset)
 
 TEST(CoarseVector, StorageBitsMatchBudget)
 {
-    EXPECT_EQ(CoarseVectorRep(16).storageBits(), 8u);   // 2*log2(16)
-    EXPECT_EQ(CoarseVectorRep(64).storageBits(), 12u);  // 2*log2(64)
-    EXPECT_EQ(CoarseVectorRep(1024).storageBits(), 20u);
+    EXPECT_EQ(makeSharerRep(SharerFormat::CoarseVector, 16)->storageBits(),
+              8u); // 2*log2(16)
+    EXPECT_EQ(makeSharerRep(SharerFormat::CoarseVector, 64)->storageBits(),
+              12u); // 2*log2(64)
+    EXPECT_EQ(
+        makeSharerRep(SharerFormat::CoarseVector, 1024)->storageBits(),
+        20u);
     EXPECT_EQ(sharerStorageBits(SharerFormat::CoarseVector, 1024), 20u);
 }
 
 TEST(CoarseVector, EmptiesFromCoarseMode)
 {
-    CoarseVectorRep rep(32);
-    rep.add(0);
-    rep.add(1);
-    rep.add(2);
-    ASSERT_TRUE(rep.isCoarse());
-    EXPECT_FALSE(rep.remove(0));
-    EXPECT_FALSE(rep.remove(1));
-    EXPECT_TRUE(rep.remove(2));
-    EXPECT_TRUE(rep.empty());
-    EXPECT_FALSE(rep.isCoarse()); // reset to precise pointer mode
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 32);
+    rep->add(0);
+    rep->add(1);
+    rep->add(2);
+    ASSERT_FALSE(rep->precise());
+    EXPECT_FALSE(rep->remove(0));
+    EXPECT_FALSE(rep->remove(1));
+    EXPECT_TRUE(rep->remove(2));
+    EXPECT_TRUE(rep->empty());
+    EXPECT_TRUE(rep->precise()); // reset to precise pointer mode
 }
 
 TEST(CoarseVector, CoarseModeRetainsGroupBitsUntilEmpty)
 {
-    CoarseVectorRep rep(64);
-    rep.add(0);
-    rep.add(1);
-    rep.add(2);
-    ASSERT_TRUE(rep.isCoarse());
-    rep.remove(2);
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 64);
+    rep->add(0);
+    rep->add(1);
+    rep->add(2);
+    ASSERT_FALSE(rep->precise());
+    rep->remove(2);
     // Group bit for {0,1,...} region must still cover remaining sharers.
     DynamicBitset targets;
-    rep.invalidationTargets(targets);
+    rep->invalidationTargets(targets);
     EXPECT_TRUE(targets.test(0));
     EXPECT_TRUE(targets.test(1));
 }
@@ -263,92 +267,85 @@ TEST(CoarseVector, CoarseReAddDoesNotDoubleCount)
     // unconditionally in coarse mode, so re-adding a tracked sharer
     // inflated count() and the removal sequence could never drain the
     // entry back to empty (leaking the directory entry).
-    CoarseVectorRep rep(64);
-    rep.add(1);
-    rep.add(2);
-    rep.add(3);
-    ASSERT_TRUE(rep.isCoarse());
-    ASSERT_EQ(rep.count(), 3u);
-    rep.add(2); // re-add while coarse
-    EXPECT_EQ(rep.count(), 3u);
-    EXPECT_FALSE(rep.remove(1));
-    EXPECT_FALSE(rep.remove(2));
-    EXPECT_TRUE(rep.remove(3));
-    EXPECT_TRUE(rep.empty());
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 64);
+    rep->add(1);
+    rep->add(2);
+    rep->add(3);
+    ASSERT_FALSE(rep->precise());
+    ASSERT_EQ(rep->count(), 3u);
+    rep->add(2); // re-add while coarse
+    EXPECT_EQ(rep->count(), 3u);
+    EXPECT_FALSE(rep->remove(1));
+    EXPECT_FALSE(rep->remove(2));
+    EXPECT_TRUE(rep->remove(3));
+    EXPECT_TRUE(rep->empty());
 }
 
 TEST(CoarseVector, CoarseRemoveOfUntrackedCacheIsANoOp)
 {
-    CoarseVectorRep rep(64);
-    rep.add(0);
-    rep.add(1);
-    rep.add(2);
-    ASSERT_TRUE(rep.isCoarse());
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 64);
+    rep->add(0);
+    rep->add(1);
+    rep->add(2);
+    ASSERT_FALSE(rep->precise());
     // 3 shares group 0's coarse bit but was never added; removing it
     // must not disturb the count.
-    EXPECT_FALSE(rep.remove(3));
-    EXPECT_EQ(rep.count(), 3u);
+    EXPECT_FALSE(rep->remove(3));
+    EXPECT_EQ(rep->count(), 3u);
 }
 
 TEST(CoarseVector, SmallSystemsDegenerate)
 {
     // 2 caches: budget = 2 bits, groups of 1 — effectively full vector.
-    CoarseVectorRep rep(2);
-    rep.add(0);
-    rep.add(1);
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 2);
+    rep->add(0);
+    rep->add(1);
     DynamicBitset targets;
-    rep.invalidationTargets(targets);
+    rep->invalidationTargets(targets);
     EXPECT_EQ(targets.count(), 2u);
 }
 
 // --- Hierarchical specifics -----------------------------------------------------
 
-TEST(Hierarchical, AllocatesLeavesOnDemand)
+TEST(Hierarchical, ChargesLeavesOnDemand)
 {
-    HierarchicalVectorRep rep(64); // clusters of 8
-    EXPECT_EQ(rep.allocatedLeaves(), 0u);
-    rep.add(0);
-    EXPECT_EQ(rep.allocatedLeaves(), 1u);
-    rep.add(7); // same cluster
-    EXPECT_EQ(rep.allocatedLeaves(), 1u);
-    rep.add(8); // next cluster
-    EXPECT_EQ(rep.allocatedLeaves(), 2u);
+    // 64 caches: 8 clusters of 8, so the root is 8 bits and every
+    // cluster holding a sharer adds an 8-bit leaf vector.
+    auto rep = makeSharerRep(SharerFormat::Hierarchical, 64);
+    EXPECT_EQ(rep->storageBits(), 8u);
+    rep->add(0);
+    EXPECT_EQ(rep->storageBits(), 16u);
+    rep->add(7); // same cluster
+    EXPECT_EQ(rep->storageBits(), 16u);
+    rep->add(8); // next cluster
+    EXPECT_EQ(rep->storageBits(), 24u);
 }
 
-TEST(Hierarchical, DeallocatesEmptyLeaves)
+TEST(Hierarchical, StopsChargingEmptyLeaves)
 {
-    HierarchicalVectorRep rep(64);
-    rep.add(0);
-    rep.add(8);
-    rep.remove(0);
-    EXPECT_EQ(rep.allocatedLeaves(), 1u);
-    rep.remove(8);
-    EXPECT_EQ(rep.allocatedLeaves(), 0u);
-    EXPECT_TRUE(rep.empty());
+    auto rep = makeSharerRep(SharerFormat::Hierarchical, 64);
+    rep->add(0);
+    rep->add(8);
+    rep->remove(0);
+    EXPECT_EQ(rep->storageBits(), 16u);
+    rep->remove(8);
+    EXPECT_EQ(rep->storageBits(), 8u);
+    EXPECT_TRUE(rep->empty());
 }
 
 TEST(Hierarchical, PreciseTargets)
 {
-    HierarchicalVectorRep rep(100);
-    rep.add(0);
-    rep.add(55);
-    rep.add(99);
+    auto rep = makeSharerRep(SharerFormat::Hierarchical, 100);
+    rep->add(0);
+    rep->add(55);
+    rep->add(99);
     DynamicBitset targets;
-    rep.invalidationTargets(targets);
+    rep->invalidationTargets(targets);
     EXPECT_EQ(targets.count(), 3u);
     EXPECT_TRUE(targets.test(0));
     EXPECT_TRUE(targets.test(55));
     EXPECT_TRUE(targets.test(99));
-    EXPECT_TRUE(rep.precise());
-}
-
-TEST(Hierarchical, ExplicitClusterSize)
-{
-    HierarchicalVectorRep rep(64, 16);
-    EXPECT_EQ(rep.clusterSize(), 16u);
-    rep.add(15);
-    rep.add(16);
-    EXPECT_EQ(rep.allocatedLeaves(), 2u);
+    EXPECT_TRUE(rep->precise());
 }
 
 TEST(Hierarchical, RootStorageBitsFormula)
@@ -364,11 +361,11 @@ TEST(Hierarchical, NonSquareClusterGeometryIsExact)
     // clusters — one less than ceil(sqrt(128)) = 12. The float-based
     // derivation used to charge the extra cluster.
     EXPECT_EQ(sharerStorageBits(SharerFormat::Hierarchical, 128), 11u);
-    HierarchicalVectorRep rep(128);
-    EXPECT_EQ(rep.clusterSize(), 12u);
-    rep.add(127); // last, partially filled cluster
-    EXPECT_TRUE(rep.mightContain(127));
-    EXPECT_EQ(rep.allocatedLeaves(), 1u);
+    auto rep = makeSharerRep(SharerFormat::Hierarchical, 128);
+    rep->add(127); // last, partially filled cluster
+    EXPECT_TRUE(rep->mightContain(127));
+    // Root of 11 bits plus one 12-cache leaf.
+    EXPECT_EQ(rep->storageBits(), 11u + 12u);
 
     // 8192 caches (the 4096-core Shared-L2 grid point): 91 clusters of
     // 91 exactly covers 8281 >= 8192.
@@ -398,57 +395,140 @@ TEST(Compressed, StorageChargeMatchesFullVector)
     // change: the modeled storage bits stay one per cache, so every
     // behavioural statistic is bit-identical to a FullVector run.
     EXPECT_EQ(sharerStorageBits(SharerFormat::Compressed, 1024), 1024u);
-    CompressedVectorRep rep(4096);
-    EXPECT_EQ(rep.storageBits(), 4096u);
-    EXPECT_TRUE(rep.precise());
+    auto rep = makeSharerRep(SharerFormat::Compressed, 4096);
+    EXPECT_EQ(rep->storageBits(), 4096u);
+    EXPECT_TRUE(rep->precise());
 }
 
-TEST(Compressed, LeanerThanFullVectorWhenSparse)
+TEST(Compressed, LeanerThanAFullVectorWhenSparse)
 {
-    FullVectorRep full(4096);
-    CompressedVectorRep lean(4096);
-    full.add(7);
-    lean.add(7);
-    // One sharer: the full vector holds 4096 bits of backing words,
-    // the compressed rep one (index, word) pair.
-    EXPECT_LT(lean.memoryBytes(), full.memoryBytes());
+    // One sharer among 4096 caches: the entry holds a short inline run
+    // of (index, word) pairs, not 4096 bits of backing words.
+    for (SharerFormat f :
+         {SharerFormat::FullVector, SharerFormat::Compressed}) {
+        auto rep = makeSharerRep(f, 4096);
+        rep->add(7);
+        EXPECT_LT(rep->memoryBytes(), 4096u / 8);
+    }
 }
 
 TEST(Compressed, MatchesFullVectorUnderChurnAt1024Caches)
 {
     // Lean-vs-full equivalence at CMP scale: identical add/remove
     // streams must produce identical counts, membership answers, and
-    // invalidation target sets at every step.
+    // invalidation target sets at every step. The sets grow far past
+    // the inline run, so this also drives the spill path.
     constexpr std::size_t kCaches = 1024;
-    FullVectorRep full(kCaches);
-    CompressedVectorRep lean(kCaches);
+    auto full = makeSharerRep(SharerFormat::FullVector, kCaches);
+    auto lean = makeSharerRep(SharerFormat::Compressed, kCaches);
     Rng rng(2026);
     std::set<CacheId> truth;
     for (int step = 0; step < 4000; ++step) {
         const auto cache = static_cast<CacheId>(rng.below(kCaches));
         if (rng.chance(0.55)) {
-            full.add(cache);
-            lean.add(cache);
+            full->add(cache);
+            lean->add(cache);
             truth.insert(cache);
         } else {
-            EXPECT_EQ(full.remove(cache), lean.remove(cache))
+            EXPECT_EQ(full->remove(cache), lean->remove(cache))
                 << "step " << step;
             truth.erase(cache);
         }
-        ASSERT_EQ(lean.count(), full.count()) << "step " << step;
-        ASSERT_EQ(lean.mightContain(cache), full.mightContain(cache));
+        ASSERT_EQ(lean->count(), full->count()) << "step " << step;
+        ASSERT_EQ(lean->count(), truth.size()) << "step " << step;
+        ASSERT_EQ(lean->mightContain(cache), full->mightContain(cache));
         if (step % 97 == 0) {
             DynamicBitset a, b;
-            full.invalidationTargets(a);
-            lean.invalidationTargets(b);
+            full->invalidationTargets(a);
+            lean->invalidationTargets(b);
             ASSERT_TRUE(a == b) << "step " << step;
             ASSERT_EQ(a.count(), truth.size());
         }
     }
-    full.clear();
-    lean.clear();
-    EXPECT_TRUE(lean.empty());
-    EXPECT_EQ(lean.count(), full.count());
+    full->clear();
+    lean->clear();
+    EXPECT_TRUE(lean->empty());
+    EXPECT_EQ(lean->count(), full->count());
+}
+
+// --- Inline entry encoding ---------------------------------------------------
+
+TEST(SharerCodec, NarrowEntriesAreOneWord)
+{
+    // Up to 64 caches the exact set is one word; CoarseVector adds its
+    // group mask.
+    EXPECT_EQ(SharerCodec(SharerFormat::FullVector, 16).words(), 1u);
+    EXPECT_EQ(SharerCodec(SharerFormat::Compressed, 64).words(), 1u);
+    EXPECT_EQ(SharerCodec(SharerFormat::Hierarchical, 64).words(), 1u);
+    EXPECT_EQ(SharerCodec(SharerFormat::CoarseVector, 64).words(), 2u);
+    EXPECT_GT(SharerCodec(SharerFormat::FullVector, 65).words(), 1u);
+}
+
+TEST(SharerCodec, WideSetSpillsAndReturnsItsChunk)
+{
+    constexpr std::size_t kCaches = 1024;
+    SharerCodec codec(SharerFormat::FullVector, kCaches);
+    std::vector<SharerCodec::Word> entry(codec.words(), 0);
+    // More distinct 64-cache words than the inline run holds.
+    const unsigned words = SharerCodec::kInlineWords + 2;
+    std::size_t arena = 0;
+    for (int round = 0; round < 3; ++round) {
+        for (unsigned w = 0; w < words; ++w)
+            codec.add(entry.data(), static_cast<CacheId>(w * 64 + w));
+        EXPECT_EQ(codec.count(entry.data()), words);
+        DynamicBitset targets;
+        codec.targets(entry.data(), targets);
+        EXPECT_EQ(targets.count(), words);
+        for (unsigned w = 0; w < words; ++w)
+            EXPECT_TRUE(targets.test(w * 64 + w));
+        for (unsigned w = 0; w + 1 < words; ++w)
+            EXPECT_FALSE(
+                codec.remove(entry.data(), static_cast<CacheId>(w * 65)));
+        EXPECT_TRUE(codec.remove(entry.data(),
+                                 static_cast<CacheId>((words - 1) * 65)));
+        // Empty entries are all-zero words, and the chunk is reused.
+        for (const SharerCodec::Word word : entry)
+            EXPECT_EQ(word, 0u);
+        if (round == 0)
+            arena = codec.spillBytes();
+        EXPECT_EQ(codec.spillBytes(), arena);
+    }
+    EXPECT_GT(arena, 0u);
+}
+
+TEST(SharerCodec, SpilledEntryMovesWithItsWords)
+{
+    constexpr std::size_t kCaches = 512;
+    SharerCodec codec(SharerFormat::Compressed, kCaches);
+    std::vector<SharerCodec::Word> a(codec.words(), 0);
+    std::vector<SharerCodec::Word> b(codec.words(), 0);
+    for (CacheId c = 0; c < kCaches; c += 50)
+        codec.add(a.data(), c);
+    codec.move(a.data(), b.data());
+    EXPECT_EQ(codec.count(b.data()), 11u);
+    EXPECT_EQ(codec.count(a.data()), 0u);
+    for (CacheId c = 0; c < kCaches; c += 50)
+        EXPECT_TRUE(codec.mightContain(b.data(), c));
+    codec.clear(b.data());
+    EXPECT_EQ(codec.count(b.data()), 0u);
+}
+
+TEST(SharerCodec, WideCoarseTargetsCoverWholeGroups)
+{
+    // 1024 caches: 20 budget bits -> 20 groups of ceil(1024/20) = 52.
+    auto rep = makeSharerRep(SharerFormat::CoarseVector, 1024);
+    rep->add(0);
+    rep->add(500);
+    EXPECT_TRUE(rep->precise());
+    rep->add(1000);
+    EXPECT_FALSE(rep->precise());
+    DynamicBitset targets;
+    rep->invalidationTargets(targets);
+    // Groups 0 [0,52), 9 [468,520) and 19 [988,1024).
+    EXPECT_EQ(targets.count(), 52u + 52u + 36u);
+    EXPECT_TRUE(targets.test(467 + 1));
+    EXPECT_FALSE(targets.test(467));
+    EXPECT_EQ(rep->count(), 3u);
 }
 
 TEST(SharerFactory, BuildsEveryFormat)
