@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
@@ -183,6 +184,140 @@ INSTANTIATE_TEST_SUITE_P(
     testing::Combine(testing::Values(std::size_t{1}, std::size_t{8},
                                      std::size_t{64}, std::size_t{512}),
                      testing::Values(1u, 2u, 4u, 16u)));
+
+/**
+ * Reference true-LRU cache for the differential test below: one 64-bit
+ * last-use timestamp per frame, bumped on every access. A miss fills
+ * the first vacant way of the set, else the way with the strictly
+ * smallest timestamp in way order.
+ */
+class TimestampLruCache
+{
+  public:
+    explicit TimestampLruCache(const CacheConfig &config)
+        : cfg(config), frames(config.capacityBlocks())
+    {}
+
+    CacheAccessResult
+    access(BlockAddr addr, bool is_write)
+    {
+        CacheAccessResult result;
+        ++clock;
+        if (Frame *f = find(addr)) {
+            result.hit = true;
+            if (is_write && !f->dirty) {
+                result.writeHitClean = true;
+                f->dirty = true;
+            }
+            f->lastUse = clock;
+            return result;
+        }
+        Frame *set = &frames[(addr & (cfg.numSets - 1)) * cfg.assoc];
+        Frame *victim = nullptr;
+        for (unsigned w = 0; w < cfg.assoc && victim == nullptr; ++w)
+            if (!set[w].valid)
+                victim = &set[w];
+        if (victim == nullptr) {
+            victim = &set[0];
+            for (unsigned w = 1; w < cfg.assoc; ++w)
+                if (set[w].lastUse < victim->lastUse)
+                    victim = &set[w];
+            result.victim = victim->addr;
+            result.victimDirty = victim->dirty;
+        }
+        *victim = Frame{addr, true, is_write, clock};
+        return result;
+    }
+
+    bool
+    invalidate(BlockAddr addr)
+    {
+        Frame *f = find(addr);
+        if (f == nullptr)
+            return false;
+        f->valid = false;
+        f->dirty = false;
+        return true;
+    }
+
+    void
+    cleanse(BlockAddr addr)
+    {
+        if (Frame *f = find(addr))
+            f->dirty = false;
+    }
+
+    std::vector<BlockAddr>
+    residentAddresses() const
+    {
+        std::vector<BlockAddr> out;
+        for (const Frame &f : frames)
+            if (f.valid)
+                out.push_back(f.addr);
+        return out;
+    }
+
+  private:
+    struct Frame
+    {
+        BlockAddr addr = 0;
+        bool valid = false;
+        bool dirty = false;
+        std::uint64_t lastUse = 0;
+    };
+
+    Frame *
+    find(BlockAddr addr)
+    {
+        Frame *set = &frames[(addr & (cfg.numSets - 1)) * cfg.assoc];
+        for (unsigned w = 0; w < cfg.assoc; ++w)
+            if (set[w].valid && set[w].addr == addr)
+                return &set[w];
+        return nullptr;
+    }
+
+    CacheConfig cfg;
+    std::vector<Frame> frames;
+    std::uint64_t clock = 0;
+};
+
+// Differential pin of the replacement policy: mixed access/invalidate/
+// cleanse streams must produce, call for call, the outcomes of the
+// timestamp reference, at every associativity the simulator uses.
+TEST(Cache, MatchesTimestampLruReference)
+{
+    for (const unsigned assoc : {1u, 2u, 4u, 16u, 64u}) {
+        SCOPED_TRACE(testing::Message() << "assoc " << assoc);
+        const CacheConfig config{8, assoc};
+        SetAssocCache cache(config);
+        TimestampLruCache ref(config);
+        Rng rng(assoc);
+        // Twice the capacity in distinct blocks keeps sets contended
+        // while leaving plenty of hits.
+        const std::uint64_t blocks = 2 * config.capacityBlocks();
+        for (int i = 0; i < 40000; ++i) {
+            const BlockAddr addr = rng.below(blocks);
+            const std::uint64_t op = rng.below(10);
+            if (op < 7) {
+                const bool write = rng.chance(0.3);
+                const CacheAccessResult got = cache.access(addr, write);
+                const CacheAccessResult want = ref.access(addr, write);
+                ASSERT_EQ(got.hit, want.hit) << "op " << i;
+                ASSERT_EQ(got.writeHitClean, want.writeHitClean)
+                    << "op " << i;
+                ASSERT_EQ(got.victim, want.victim) << "op " << i;
+                ASSERT_EQ(got.victimDirty, want.victimDirty) << "op " << i;
+            } else if (op < 9) {
+                ASSERT_EQ(cache.invalidate(addr), ref.invalidate(addr))
+                    << "op " << i;
+            } else {
+                cache.cleanse(addr);
+                ref.cleanse(addr);
+            }
+        }
+        EXPECT_EQ(cache.residentAddresses(), ref.residentAddresses());
+    }
+}
 
 TEST(CacheConfigStruct, CapacityIsSetsTimesWays)
 {
