@@ -53,7 +53,7 @@ churn(HashKind kind, double occupancy, std::uint64_t ops,
     const unsigned ways = 4;
     const std::size_t sets = 2048;
     auto family = makeHashFamily(kind, ways, sets, seed);
-    CuckooTable<char> table(*family, 32);
+    CuckooTable table(*family, 32);
     Rng rng(seed ^ 0xabcdef);
 
     std::vector<Tag> live;

@@ -57,9 +57,9 @@ constexpr RateRun kRuns[] = {
     {"Sparse/untimed", "Sparse", ""},
     {"Cuckoo/mesh", "Cuckoo", "mesh"},
     // Batched staging leg: batchWindow >> 1 is the driver shape that
-    // exercises the batch-window software prefetch (CDIR_PREFETCH_DIST)
-    // and per-slice run batching — at window 1 that machinery is idle,
-    // so regressions in it were invisible to the committed numbers.
+    // exercises the flush's window-wide directory prefetch pass and
+    // per-slice run batching — at window 1 that machinery is idle, so
+    // regressions in it were invisible to the committed numbers.
     {"Cuckoo/batch64", "Cuckoo", "", 64},
     // Fleet-generator leg: the multi-tenant workload pays for Zipf
     // sampling, per-tenant scatter, and churn/storm bookkeeping per

@@ -55,7 +55,7 @@ runArity(unsigned ways, std::uint64_t values, std::uint64_t seed)
     // normalizes out.
     const std::size_t sets = 32768;
     auto family = makeHashFamily(HashKind::Strong, ways, sets, seed);
-    CuckooTable<char> table(*family, 32);
+    CuckooTable table(*family, 32);
     Rng rng(seed * 7919 + 1);
 
     for (std::uint64_t i = 0; i < values; ++i) {

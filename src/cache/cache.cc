@@ -1,6 +1,9 @@
 #include "cache/cache.hh"
 
+#include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <numeric>
 
 #include "common/bit_util.hh"
 
@@ -15,7 +18,13 @@ SetAssocCache::SetAssocCache(const CacheConfig &config) : cfg(config)
     addrs.assign(total, 0);
     valids.assign(total, 0);
     dirtys.assign(total, 0);
-    lastUses.assign(total, 0);
+    // Every set starts ranked in way order: write set 0, then double
+    // the filled prefix until it covers all sets.
+    ranks.resize(total);
+    std::iota(ranks.begin(), ranks.begin() + cfg.assoc, std::uint8_t{0});
+    for (std::size_t filled = cfg.assoc; filled < total; filled *= 2)
+        std::memcpy(&ranks[filled], ranks.data(),
+                    std::min(filled, total - filled));
 }
 
 std::size_t
@@ -33,35 +42,45 @@ SetAssocCache::findFrame(BlockAddr addr) const
     return w == cfg.assoc ? nframe : base + w;
 }
 
+void
+SetAssocCache::touch(std::size_t base, std::size_t f)
+{
+    // Every frame more recent than f ages by one; f becomes rank 0.
+    // Branch-free over the set, so the compiler vectorizes it.
+    std::uint8_t *set = &ranks[base];
+    const std::uint8_t old = ranks[f];
+    for (unsigned w = 0; w < cfg.assoc; ++w)
+        set[w] += set[w] < old;
+    ranks[f] = 0;
+}
+
 CacheAccessResult
 SetAssocCache::access(BlockAddr addr, bool is_write)
 {
     CacheAccessResult result;
-    ++useClock;
+    const std::size_t base = setIndex(addr) * cfg.assoc;
 
-    const std::size_t f = findFrame(addr);
-    if (f != nframe) {
+    const std::size_t w =
+        findTag(&addrs[base], &valids[base], cfg.assoc, addr);
+    if (w != cfg.assoc) {
+        const std::size_t f = base + w;
         result.hit = true;
         if (is_write && dirtys[f] == 0) {
             result.writeHitClean = true;
             dirtys[f] = 1;
         }
-        lastUses[f] = useClock;
+        touch(base, f);
         return result;
     }
 
-    // Miss: pick an invalid frame or the LRU victim (first vacant way
-    // wins, else the strictly-smallest lastUse in way order).
-    const std::size_t base = setIndex(addr) * cfg.assoc;
-    std::size_t victim = base;
-    const std::size_t vacant = cdir::findVacant(&valids[base], cfg.assoc);
-    if (vacant != cfg.assoc) {
-        victim = base + vacant;
-    } else {
-        for (unsigned w = 1; w < cfg.assoc; ++w)
-            if (lastUses[base + w] < lastUses[victim])
-                victim = base + w;
-    }
+    // Miss: the first vacant way wins, else the LRU frame. Every valid
+    // frame was touched when it was filled, so once the set is full the
+    // ranks order all its frames by last use.
+    std::size_t victim = base + cdir::findVacant(&valids[base], cfg.assoc);
+    if (victim == base + cfg.assoc)
+        victim = static_cast<const std::uint8_t *>(std::memchr(
+                     &ranks[base], cfg.assoc - 1, cfg.assoc)) -
+                 ranks.data();
 
     if (valids[victim] != 0) {
         result.victim = addrs[victim];
@@ -73,7 +92,7 @@ SetAssocCache::access(BlockAddr addr, bool is_write)
     addrs[victim] = addr;
     valids[victim] = 1;
     dirtys[victim] = is_write ? 1 : 0;
-    lastUses[victim] = useClock;
+    touch(base, victim);
     return result;
 }
 

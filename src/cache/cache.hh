@@ -94,7 +94,7 @@ class SetAssocCache
         return sizeof(*this) + addrs.capacity() * sizeof(BlockAddr) +
                valids.capacity() * sizeof(std::uint8_t) +
                dirtys.capacity() * sizeof(std::uint8_t) +
-               lastUses.capacity() * sizeof(std::uint64_t);
+               ranks.capacity() * sizeof(std::uint8_t);
     }
 
   private:
@@ -105,6 +105,9 @@ class SetAssocCache
     /** Flat frame index of @p addr, or nframe. */
     std::size_t findFrame(BlockAddr addr) const;
 
+    /** Make frame @p f the most recently used of the set at @p base. */
+    void touch(std::size_t base, std::size_t f);
+
     CacheConfig cfg;
     std::size_t indexMask;
     // Structure-of-arrays frame storage, set-major: a set's assoc
@@ -113,8 +116,11 @@ class SetAssocCache
     std::vector<BlockAddr> addrs;        //!< SoA address lane
     std::vector<std::uint8_t> valids;    //!< SoA valid lane
     std::vector<std::uint8_t> dirtys;    //!< SoA dirty lane
-    std::vector<std::uint64_t> lastUses; //!< SoA LRU lane
-    std::uint64_t useClock = 0;
+    /**
+     * SoA recency lane: each set's ranks are a permutation of
+     * [0, assoc), 0 = most recently used, assoc-1 = the LRU frame.
+     */
+    std::vector<std::uint8_t> ranks;
     std::size_t resident = 0;
 };
 

@@ -112,7 +112,7 @@ void
 CuckooDirectory::removeSharer(Tag tag, CacheId cache)
 {
     const std::size_t pos = table.findPos(tag);
-    if (pos != CuckooTable<Word>::npos) {
+    if (pos != CuckooTable::npos) {
         ++statistics.sharerRemovals;
         if (sharers.remove(&table.payloadAt(pos), cache)) {
             // One probe serves both the removal and the free: erase at

@@ -97,7 +97,7 @@ class CuckooDirectory : public Directory
     HashKind hashKind;
     SharerCodec sharers;
     std::unique_ptr<HashFamily> family;
-    CuckooTable<Word> table;
+    CuckooTable table;
     unsigned stashCapacity;
     std::vector<Tag> stashTags;  //!< live stash entries, in order
     std::vector<Word> stashWords; //!< their sharer words, same order

@@ -22,18 +22,19 @@
  *  - To keep the ways uniformly utilized, each insertion starts at the
  *    way at which the previous insertion stopped.
  *
- * Storage is structure-of-arrays: tags, valid bytes, and payloads live
- * in three parallel vectors so a probe touches only the dense 8B/entry
- * tag lane (plus 1B valid lane) instead of dragging payload bytes
- * through the cache. A probe computes all way indices with one
- * HashFamily::indexAll call, gathers the candidate tags, and reduces
- * them with the branchless match-mask kernel — the software analogue of
- * the parallel way comparators the paper's hardware fires.
+ * Each slot is one contiguous record — its tag followed by its
+ * `stride` 64-bit payload words — so a probe reads a slot's tag and its
+ * payload in one memory trip, as the hardware reads a directory entry's
+ * tag and sharer bits together. The 1-byte valid flags live apart in a
+ * dense lane that the relocation vacancy scan reads on its own. A probe
+ * computes all way indices with one HashFamily::indexAll call, gathers
+ * the candidate tags, and reduces them with the branchless match-mask
+ * kernel — the software analogue of the parallel way comparators the
+ * paper's hardware fires.
  *
- * The payload type only needs to be movable. A table built with a
- * payload stride > 1 gives every slot that many consecutive payload
- * elements (the Cuckoo directory stores an entry's sharer words this
- * way) and is filled through insertCarry().
+ * A table built with a payload stride > 1 gives every slot that many
+ * payload words (the Cuckoo directory stores an entry's sharer words
+ * this way) and is filled through insertCarry().
  */
 
 #ifndef CDIR_DIRECTORY_CUCKOO_TABLE_HH
@@ -53,10 +54,12 @@
 namespace cdir {
 
 /** d-ary Cuckoo hash table (see file comment). */
-template <typename Payload>
 class CuckooTable
 {
   public:
+    /** Payload word type. */
+    using Word = std::uint64_t;
+
     /** Sentinel position for "not found". */
     static constexpr std::size_t npos = ~std::size_t{0};
 
@@ -68,7 +71,7 @@ class CuckooTable
         /** Set when the attempt bound was hit and an element dropped. */
         bool discarded = false;
         Tag discardedTag = 0;
-        std::optional<Payload> discardedPayload;
+        std::optional<Word> discardedPayload;
     };
 
     /**
@@ -78,7 +81,7 @@ class CuckooTable
      *        paper's design; >1 implements Panigrahy's bucketized
      *        variant [30], which §6 notes "may offer additional
      *        improvement ... at high directory occupancy".
-     * @param payload_stride payload elements per slot.
+     * @param payload_stride payload words per slot.
      */
     CuckooTable(const HashFamily &family, unsigned max_attempts = 32,
                 unsigned bucket_slots = 1, unsigned payload_stride = 1)
@@ -88,9 +91,8 @@ class CuckooTable
           maxAttempts(max_attempts),
           bucketSlots(bucket_slots),
           stride(payload_stride),
-          tags(std::size_t{ways} * sets * bucket_slots, 0),
           valids(std::size_t{ways} * sets * bucket_slots, 0),
-          payloads(std::size_t{ways} * sets * bucket_slots * payload_stride)
+          records(valids.size() * (1 + std::size_t{payload_stride}), 0)
     {
         assert(ways >= 2 && "cuckoo displacement needs >= 2 ways");
         assert(ways <= kMaxProbeWays);
@@ -116,7 +118,7 @@ class CuckooTable
             std::uint8_t cvalid[kMaxProbeWays];
             for (unsigned w = 0; w < ways; ++w) {
                 const std::size_t p = std::size_t{w} * sets + idx[w];
-                cand[w] = tags[p];
+                cand[w] = record(p)[0];
                 cvalid[w] = valids[p];
             }
             const std::size_t hit = findTag(cand, cvalid, ways, tag);
@@ -124,13 +126,16 @@ class CuckooTable
                 return npos;
             return std::size_t{hit} * sets + idx[hit];
         }
-        // Bucketized variant: each (way, set) bucket is already a
-        // contiguous run; kernel-probe the runs in way order.
+        // Bucketized variant: gather each (way, set) bucket's tags and
+        // kernel-probe the buckets in way order.
+        Tag cand[kKernelWidth];
         for (unsigned w = 0; w < ways; ++w) {
             const std::size_t base =
                 (std::size_t{w} * sets + idx[w]) * bucketSlots;
+            for (unsigned b = 0; b < bucketSlots; ++b)
+                cand[b] = record(base + b)[0];
             const std::size_t b =
-                findTag(&tags[base], &valids[base], bucketSlots, tag);
+                findTag(cand, &valids[base], bucketSlots, tag);
             if (b != bucketSlots)
                 return base + b;
         }
@@ -138,15 +143,15 @@ class CuckooTable
     }
 
     /** Find the payload for @p tag, or nullptr. */
-    Payload *
+    Word *
     find(Tag tag)
     {
         const std::size_t pos = findPos(tag);
-        return pos == npos ? nullptr : &payloads[pos * stride];
+        return pos == npos ? nullptr : record(pos) + 1;
     }
 
     /** @copydoc find */
-    const Payload *
+    const Word *
     find(Tag tag) const
     {
         return const_cast<CuckooTable *>(this)->find(tag);
@@ -154,21 +159,21 @@ class CuckooTable
 
     /**
      * Payload stored at a position returned by findPos() (the first of
-     * the slot's stride elements).
+     * the slot's stride words).
      */
-    Payload &
+    Word &
     payloadAt(std::size_t pos)
     {
-        assert(pos < tags.size() && valids[pos] != 0);
-        return payloads[pos * stride];
+        assert(pos < valids.size() && valids[pos] != 0);
+        return record(pos)[1];
     }
 
     /** Tag stored at a position returned by findPos(). */
     Tag
     tagAt(std::size_t pos) const
     {
-        assert(pos < tags.size() && valids[pos] != 0);
-        return tags[pos];
+        assert(pos < valids.size() && valids[pos] != 0);
+        return record(pos)[0];
     }
 
     /**
@@ -176,25 +181,24 @@ class CuckooTable
      * present (callers look up first, as the hardware does).
      */
     InsertResult
-    insert(Tag tag, Payload &&payload)
+    insert(Tag tag, Word payload)
     {
         assert(stride == 1);
-        Payload carry = std::move(payload);
-        InsertResult result = insertCarry(tag, &carry);
+        InsertResult result = insertCarry(tag, &payload);
         if (result.discarded)
-            result.discardedPayload = std::move(carry);
+            result.discardedPayload = payload;
         return result;
     }
 
     /**
-     * Insert @p tag carrying the stride payload elements at @p carry.
+     * Insert @p tag carrying the stride payload words at @p carry.
      * Payloads are swapped along the displacement chain, so on return
      * @p carry holds the former contents of the slot the chain ended
      * in or, when the attempt bound discarded an element, that
      * element's payload (InsertResult::discardedPayload stays empty).
      */
     InsertResult
-    insertCarry(Tag tag, Payload *carry)
+    insertCarry(Tag tag, Word *carry)
     {
         assert(find(tag) == nullptr && "duplicate insert");
         InsertResult result;
@@ -215,7 +219,7 @@ class CuckooTable
             unsigned placed_way = 0;
             const std::size_t vacant = findVacantPos(idx, way, placed_way);
             if (vacant != npos) {
-                tags[vacant] = cur_tag;
+                record(vacant)[0] = cur_tag;
                 swapPayload(carry, vacant);
                 valids[vacant] = 1;
                 ++occupied;
@@ -241,7 +245,7 @@ class CuckooTable
                 victimRotor % bucketSlots;
             ++victimRotor;
             assert(valids[victim] != 0);
-            std::swap(cur_tag, tags[victim]);
+            std::swap(cur_tag, record(victim)[0]);
             swapPayload(carry, victim);
             way = (way + 1) % ways;
         }
@@ -251,20 +255,20 @@ class CuckooTable
      * Remove the element at a position returned by findPos().
      * @return the payload that occupied the slot (its first element).
      */
-    Payload
+    Word
     eraseAt(std::size_t pos)
     {
-        assert(pos < tags.size() && valids[pos] != 0);
+        assert(pos < valids.size() && valids[pos] != 0);
         valids[pos] = 0;
         --occupied;
-        return std::move(payloads[pos * stride]);
+        return record(pos)[1];
     }
 
     /**
      * Remove @p tag.
      * @return the payload if the tag was present.
      */
-    std::optional<Payload>
+    std::optional<Word>
     erase(Tag tag)
     {
         const std::size_t pos = findPos(tag);
@@ -274,8 +278,9 @@ class CuckooTable
     }
 
     /**
-     * Hint the candidate tag/valid lanes of @p tag into the cache ahead
-     * of an upcoming probe (batch-window lookahead).
+     * Hint the candidate records (first of each bucket, tag through
+     * last payload word) and valid bytes of @p tag into the cache ahead
+     * of an upcoming probe.
      */
     void
     prefetch(Tag tag) const
@@ -285,7 +290,8 @@ class CuckooTable
         for (unsigned w = 0; w < ways; ++w) {
             const std::size_t base =
                 (std::size_t{w} * sets + idx[w]) * bucketSlots;
-            prefetchRead(&tags[base]);
+            prefetchRead(record(base));
+            prefetchRead(record(base) + stride);
             prefetchRead(&valids[base]);
         }
     }
@@ -294,7 +300,7 @@ class CuckooTable
     std::size_t size() const { return occupied; }
 
     /** Total slots. */
-    std::size_t capacity() const { return tags.size(); }
+    std::size_t capacity() const { return valids.size(); }
 
     /** Fraction of slots in use. */
     double
@@ -313,26 +319,25 @@ class CuckooTable
     unsigned slotsPerBucket() const { return bucketSlots; }
 
     /**
-     * Visit every valid element as (tag, payload&). @p visitor returns
-     * void; iteration order is way-major.
+     * Visit every valid element as (tag, first payload word). @p visitor
+     * returns void; iteration order is way-major.
      */
     template <typename Visitor>
     void
     forEach(Visitor &&visitor) const
     {
-        const std::size_t n = tags.size();
+        const std::size_t n = valids.size();
         for (std::size_t i = 0; i < n; ++i)
             if (valids[i] != 0)
-                visitor(tags[i], payloads[i * stride]);
+                visitor(record(i)[0], record(i)[1]);
     }
 
-    /** Host bytes of the SoA lanes. Feeds Directory::memoryBytes(). */
+    /** Host bytes of the record and valid lanes (Directory::memoryBytes). */
     std::size_t
     memoryBytes() const
     {
-        return tags.capacity() * sizeof(Tag) +
-               valids.capacity() * sizeof(std::uint8_t) +
-               payloads.capacity() * sizeof(Payload);
+        return records.capacity() * sizeof(Word) +
+               valids.capacity() * sizeof(std::uint8_t);
     }
 
     /** Occupancy of one way (test support for uniform-way utilization). */
@@ -349,11 +354,19 @@ class CuckooTable
     }
 
   private:
-    /** Exchange the stride elements at @p carry with slot @p pos's. */
-    void
-    swapPayload(Payload *carry, std::size_t pos)
+    /** Slot @p pos's record: its tag, then its stride payload words. */
+    Word *record(std::size_t pos) { return &records[pos * (1 + stride)]; }
+    const Word *
+    record(std::size_t pos) const
     {
-        std::swap_ranges(carry, carry + stride, &payloads[pos * stride]);
+        return &records[pos * (1 + stride)];
+    }
+
+    /** Exchange the stride words at @p carry with slot @p pos's. */
+    void
+    swapPayload(Word *carry, std::size_t pos)
+    {
+        std::swap_ranges(carry, carry + stride, record(pos) + 1);
     }
 
     /**
@@ -385,10 +398,9 @@ class CuckooTable
     std::size_t sets;
     unsigned maxAttempts;
     unsigned bucketSlots;
-    unsigned stride;                 //!< payload elements per slot
-    std::vector<Tag> tags;           //!< SoA tag lane (8B/entry)
-    std::vector<std::uint8_t> valids; //!< SoA valid lane (1B/entry)
-    std::vector<Payload> payloads;   //!< SoA payload lane
+    unsigned stride;                  //!< payload words per slot
+    std::vector<std::uint8_t> valids; //!< dense valid lane (1B/slot)
+    std::vector<Word> records;        //!< per-slot tag + payload words
     std::size_t occupied = 0;
     unsigned nextWay = 0;     //!< round-robin start way (§4.2)
     unsigned victimRotor = 0; //!< bucket-slot victim rotation

@@ -1,56 +1,15 @@
 #include "directory/directory.hh"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-
 #include "directory/registry.hh"
 
 namespace cdir {
-
-unsigned
-Directory::parsePrefetchDistance(const char *value)
-{
-    if (value == nullptr)
-        return kDefaultPrefetchDistance;
-    // strtoul alone would read "abc" as 0 and "-1" as a huge distance.
-    char *end = nullptr;
-    errno = 0;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (std::isdigit(static_cast<unsigned char>(value[0])) && *end == '\0' &&
-        errno == 0 && parsed <= kMaxPrefetchDistance)
-        return static_cast<unsigned>(parsed);
-    std::fprintf(stderr,
-                 "warning: ignoring CDIR_PREFETCH_DIST='%s' (want an "
-                 "integer in [0, %u]); using %u\n",
-                 value, kMaxPrefetchDistance, kDefaultPrefetchDistance);
-    return kDefaultPrefetchDistance;
-}
-
-unsigned
-Directory::prefetchDistance()
-{
-    static const unsigned distance =
-        parsePrefetchDistance(std::getenv("CDIR_PREFETCH_DIST"));
-    return distance;
-}
 
 void
 Directory::accessBatch(std::span<const DirRequest> requests,
                        DirAccessContext &ctx)
 {
-    // Walk the span in order, hinting the tag lanes of the request
-    // `dist` slots ahead so the probe's candidate lines are (likely)
-    // resident by the time access() reaches them. prefetchTag() is
-    // side-effect free, so outcomes are identical to the plain loop.
-    const std::size_t dist = prefetchDistance();
-    const std::size_t n = requests.size();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (dist != 0 && i + dist < n)
-            prefetchTag(requests[i + dist].tag);
-        access(requests[i], ctx);
-    }
+    for (const DirRequest &request : requests)
+        access(request, ctx);
 }
 
 void

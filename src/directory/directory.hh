@@ -124,10 +124,8 @@ class Directory
 
     /**
      * Handle a span of requests in order, accumulating one outcome per
-     * request into @p ctx. The default implementation walks the span in
-     * order and software-prefetches the tag lanes of the request
-     * prefetchDistance() slots ahead (see prefetchTag()); organizations
-     * may override it to exploit batch locality further.
+     * request into @p ctx. The default implementation calls access()
+     * for each request; wrappers may override it.
      */
     virtual void accessBatch(std::span<const DirRequest> requests,
                              DirAccessContext &ctx);
@@ -136,30 +134,10 @@ class Directory
      * Hint the storage a probe of @p tag will touch into the cache.
      * Pure performance hint — must have no observable side effects.
      * The default is a no-op; organizations with SoA tag lanes override
-     * it so accessBatch() can hide probe latency across the batch
-     * window.
+     * it so CmpSystem::flush() can hint a whole batch window's probes
+     * before replaying them.
      */
     virtual void prefetchTag(Tag tag) const { (void)tag; }
-
-    /**
-     * Lookahead (in requests) accessBatch() prefetches by. Seeded once
-     * from the CDIR_PREFETCH_DIST environment variable through
-     * parsePrefetchDistance() (default 8; 0 disables prefetching).
-     */
-    static unsigned prefetchDistance();
-
-    /** Default and largest accepted prefetchDistance(). */
-    static constexpr unsigned kDefaultPrefetchDistance = 8;
-    static constexpr unsigned kMaxPrefetchDistance = 1024;
-
-    /**
-     * The prefetch distance CDIR_PREFETCH_DIST=@p value selects: a
-     * decimal integer in [0, kMaxPrefetchDistance]. A null @p value
-     * gives the default; anything else (non-numeric, negative, trailing
-     * junk, out of range) gives the default after a warning on stderr
-     * naming the variable and the value.
-     */
-    static unsigned parsePrefetchDistance(const char *value);
 
     /** Private cache @p cache evicted block @p tag. */
     virtual void removeSharer(Tag tag, CacheId cache) = 0;

@@ -494,7 +494,11 @@ latencyHistogramToJson(const LatencyHistogram &h)
         if (!first)
             out += ", ";
         first = false;
-        out += "[" + fmtU64(b) + ", " + fmtU64(h.bucketAt(b)) + "]";
+        out += '[';
+        out += fmtU64(b);
+        out += ", ";
+        out += fmtU64(h.bucketAt(b));
+        out += ']';
     }
     out += "]}";
     return out;

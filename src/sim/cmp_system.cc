@@ -225,6 +225,21 @@ CmpSystem::flush()
     if (dirtySlices.empty())
         return;
 
+    // With a batch window, first hint every staged probe's candidate
+    // lines into the cache, so replay finds them (likely) resident
+    // instead of taking each slice's misses one after another. At
+    // window 1 replay follows staging at once and has nothing to
+    // overlap. prefetchTag() has no observable effect.
+    if (cfg.batchWindow > 1) {
+        for (const std::uint32_t s : dirtySlices) {
+            const Directory &dir = *slices[s];
+            for (const StagedRemoval &removal : queues[s].removals)
+                dir.prefetchTag(removal.tag);
+            for (const DirRequest &request : queues[s].requests)
+                dir.prefetchTag(request.tag);
+        }
+    }
+
     // Phase 1 — replay: slice-local directory work. Lanes own disjoint
     // slices (the sliceShard mapping; contiguous groups by default),
     // queues are fixed for the whole flush, and nothing here touches

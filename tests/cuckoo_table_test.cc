@@ -18,7 +18,8 @@
 namespace cdir {
 namespace {
 
-using Table = CuckooTable<int>;
+using Table = CuckooTable;
+using Word = Table::Word;
 
 std::unique_ptr<HashFamily>
 strongFamily(unsigned ways, std::size_t sets, std::uint64_t seed = 1)
@@ -34,7 +35,7 @@ TEST(CuckooTable, InsertThenFind)
     EXPECT_EQ(res.attempts, 1u);
     EXPECT_FALSE(res.discarded);
     ASSERT_NE(table.find(42), nullptr);
-    EXPECT_EQ(*table.find(42), 7);
+    EXPECT_EQ(*table.find(42), Word{7});
     EXPECT_EQ(table.size(), 1u);
 }
 
@@ -54,7 +55,7 @@ TEST(CuckooTable, EraseReturnsPayload)
     table.insert(5, 50);
     auto payload = table.erase(5);
     ASSERT_TRUE(payload.has_value());
-    EXPECT_EQ(*payload, 50);
+    EXPECT_EQ(*payload, Word{50});
     EXPECT_EQ(table.find(5), nullptr);
     EXPECT_EQ(table.size(), 0u);
     EXPECT_FALSE(table.erase(5).has_value());
@@ -76,13 +77,13 @@ TEST(CuckooTable, DisplacementPreservesAllElements)
     auto family = strongFamily(4, 256);
     Table table(*family);
     Rng rng(9);
-    std::map<Tag, int> truth;
+    std::map<Tag, Word> truth;
     while (table.size() < table.capacity() / 2) {
         const Tag tag = rng.next() >> 8;
         if (truth.count(tag))
             continue;
-        const int value = static_cast<int>(truth.size());
-        auto res = table.insert(tag, int{value});
+        const Word value = truth.size();
+        auto res = table.insert(tag, Word{value});
         ASSERT_FALSE(res.discarded);
         truth[tag] = value;
     }
@@ -105,7 +106,7 @@ TEST(CuckooTable, ForEachVisitsEverything)
             table.insert(tag, 1);
     }
     std::set<Tag> visited;
-    table.forEach([&](Tag tag, const int &) { visited.insert(tag); });
+    table.forEach([&](Tag tag, const Word &) { visited.insert(tag); });
     EXPECT_EQ(visited, inserted);
 }
 

@@ -27,7 +27,7 @@ namespace {
 TEST(BucketizedCuckoo, CapacityScalesWithBucketSlots)
 {
     auto family = makeHashFamily(HashKind::Strong, 2, 64, 1);
-    CuckooTable<int> table(*family, 32, 4);
+    CuckooTable table(*family, 32, 4);
     EXPECT_EQ(table.capacity(), 2u * 64u * 4u);
     EXPECT_EQ(table.slotsPerBucket(), 4u);
 }
@@ -37,7 +37,7 @@ TEST(BucketizedCuckoo, HoldsMultipleCollidingTagsPerBucket)
     // With 4-slot buckets, four tags hashing to the same (way, set)
     // coexist without displacement.
     auto family = makeHashFamily(HashKind::Modulo, 2, 16, 1);
-    CuckooTable<int> table(*family, 32, 4);
+    CuckooTable table(*family, 32, 4);
     for (Tag t = 0; t < 4; ++t) {
         auto res = table.insert(t * 16, 1); // same modulo index
         EXPECT_EQ(res.attempts, 1u);
@@ -50,7 +50,7 @@ TEST(BucketizedCuckoo, HoldsMultipleCollidingTagsPerBucket)
 TEST(BucketizedCuckoo, FindAndEraseAcrossBucketSlots)
 {
     auto family = makeHashFamily(HashKind::Strong, 3, 64, 2);
-    CuckooTable<int> table(*family, 32, 2);
+    CuckooTable table(*family, 32, 2);
     std::set<Tag> live;
     Rng rng(3);
     while (table.occupancy() < 0.6) {
@@ -73,7 +73,7 @@ TEST(BucketizedCuckoo, ReachesHigherOccupancyThanFlatTwoAry)
     // improvement in the behavior ... at high directory occupancy".
     auto run = [](unsigned bucket_slots, std::size_t sets) {
         auto family = makeHashFamily(HashKind::Strong, 2, sets, 5);
-        CuckooTable<char> table(*family, 32, bucket_slots);
+        CuckooTable table(*family, 32, bucket_slots);
         Rng rng(7);
         std::uint64_t failures = 0, inserts = 0;
         // Push to 70% occupancy or until failures dominate.

@@ -22,7 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -268,7 +271,7 @@ TEST(CuckooFormatComposition, DiscardedCoarseEntryInvalidatesGroups)
 TEST(CuckooTableStress, ShadowMapAgreesUnderChurn)
 {
     auto family = makeHashFamily(HashKind::Skewing, 4, 512, 3);
-    CuckooTable<std::uint64_t> table(*family, 32);
+    CuckooTable table(*family, 32);
     std::map<Tag, std::uint64_t> shadow;
     Rng rng(41);
     for (int step = 0; step < 50000; ++step) {
@@ -297,15 +300,80 @@ TEST(CuckooTableStress, ShadowMapAgreesUnderChurn)
     }
 }
 
+// Wide slot records: stride 5 is the entry of a 1024-cache Compressed
+// directory. Churn holds a 3-ary table near its load limit, so
+// insertCarry runs long displacement chains and hits the attempt bound;
+// every surviving tag must keep its own five words, and a discarded tag
+// comes back with its own.
+TEST(CuckooTableStress, WideRecordsKeepTheirWordsUnderChurn)
+{
+    constexpr unsigned kStride = 5;
+    using Words = std::array<CuckooTable::Word, kStride>;
+    auto family = makeHashFamily(HashKind::Skewing, 3, 512, 5);
+    CuckooTable table(*family, 32, 1, kStride);
+    std::map<Tag, Words> shadow;
+    Rng rng(43);
+    std::uint64_t chains = 0, discards = 0;
+    auto holds = [&](Tag tag, const Words &words) {
+        const CuckooTable::Word *found = table.find(tag);
+        return found != nullptr &&
+               std::equal(words.begin(), words.end(), found);
+    };
+    for (int step = 0; step < 60000; ++step) {
+        const double load =
+            double(shadow.size()) / double(table.capacity());
+        if (!shadow.empty() && rng.chance(load > 0.9 ? 0.7 : 0.2)) {
+            auto it = shadow.begin();
+            std::advance(it, rng.below(shadow.size()));
+            ASSERT_TRUE(holds(it->first, it->second)) << "step " << step;
+            const std::size_t pos = table.findPos(it->first);
+            ASSERT_EQ(table.tagAt(pos), it->first);
+            ASSERT_EQ(table.eraseAt(pos), it->second[0]);
+            shadow.erase(it);
+        } else {
+            const Tag tag = rng.next() >> 6;
+            if (shadow.count(tag))
+                continue;
+            Words value;
+            for (auto &w : value)
+                w = rng.next();
+            Words carry = value;
+            const auto res = table.insertCarry(tag, carry.data());
+            shadow[tag] = value;
+            if (res.attempts > 1)
+                ++chains;
+            if (res.discarded) {
+                ++discards;
+                ASSERT_FALSE(res.discardedPayload.has_value());
+                ASSERT_EQ(table.find(res.discardedTag), nullptr);
+                ASSERT_EQ(carry, shadow.at(res.discardedTag))
+                    << "step " << step;
+                shadow.erase(res.discardedTag);
+            }
+        }
+        ASSERT_EQ(table.size(), shadow.size());
+    }
+    EXPECT_GT(chains, 1000u);
+    EXPECT_GT(discards, 10u);
+    std::size_t visited = 0;
+    table.forEach([&](Tag tag, const CuckooTable::Word &first) {
+        ++visited;
+        EXPECT_EQ(first, shadow.at(tag)[0]);
+    });
+    EXPECT_EQ(visited, shadow.size());
+    for (const auto &[tag, words] : shadow)
+        EXPECT_TRUE(holds(tag, words)) << "tag " << tag;
+}
+
 TEST(CuckooTableStress, ReinsertAfterEraseFindsFreshPayload)
 {
     auto family = makeHashFamily(HashKind::Strong, 3, 64, 9);
-    CuckooTable<int> table(*family);
+    CuckooTable table(*family);
     table.insert(42, 1);
     table.erase(42);
     table.insert(42, 2);
     ASSERT_NE(table.find(42), nullptr);
-    EXPECT_EQ(*table.find(42), 2);
+    EXPECT_EQ(*table.find(42), CuckooTable::Word{2});
     EXPECT_EQ(table.size(), 1u);
 }
 
