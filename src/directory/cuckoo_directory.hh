@@ -11,9 +11,9 @@
  * to near zero at a fraction of a Sparse directory's capacity
  * (Figs. 9 and 12).
  *
- * Each entry's sharer set lives inline in the table's payload lane as
- * SharerCodec::words() words per slot, so a hit touches the tag lane
- * and the entry's own payload words and nothing else.
+ * Each entry's sharer set lives inline in its slot's record as
+ * SharerCodec::words() words right after the tag, so a hit touches the
+ * candidate records and the valid lane and nothing else.
  */
 
 #ifndef CDIR_DIRECTORY_CUCKOO_DIRECTORY_HH

@@ -23,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <iterator>
 #include <map>
@@ -268,83 +267,61 @@ TEST(CuckooFormatComposition, DiscardedCoarseEntryInvalidatesGroups)
 
 // --- cuckoo table stress -----------------------------------------------------------
 
-TEST(CuckooTableStress, ShadowMapAgreesUnderChurn)
+/** One churn run: payload words per slot and the load churn holds. */
+struct ChurnCase
 {
-    auto family = makeHashFamily(HashKind::Skewing, 4, 512, 3);
-    CuckooTable table(*family, 32);
-    std::map<Tag, std::uint64_t> shadow;
-    Rng rng(41);
-    for (int step = 0; step < 50000; ++step) {
-        if (!shadow.empty() && rng.chance(0.45)) {
-            auto it = shadow.begin();
-            std::advance(it, rng.below(shadow.size()));
-            auto payload = table.erase(it->first);
-            ASSERT_TRUE(payload.has_value());
-            ASSERT_EQ(*payload, it->second);
-            shadow.erase(it);
-        } else if (shadow.size() < table.capacity() / 2) {
-            const Tag tag = rng.next() >> 6;
-            if (shadow.count(tag))
-                continue;
-            const std::uint64_t value = rng.next();
-            auto res = table.insert(tag, std::uint64_t{value});
-            ASSERT_FALSE(res.discarded); // <=50% occupancy never fails
-            shadow[tag] = value;
-        }
-        ASSERT_EQ(table.size(), shadow.size());
-    }
-    for (const auto &[tag, value] : shadow) {
-        auto *found = table.find(tag);
-        ASSERT_NE(found, nullptr);
-        EXPECT_EQ(*found, value);
-    }
-}
+    unsigned stride;
+    double maxLoad;
+};
 
-// Wide slot records: stride 5 is the entry of a 1024-cache Compressed
-// directory. Churn holds a 3-ary table near its load limit, so
-// insertCarry runs long displacement chains and hits the attempt bound;
-// every surviving tag must keep its own five words, and a discarded tag
-// comes back with its own.
-TEST(CuckooTableStress, WideRecordsKeepTheirWordsUnderChurn)
+class CuckooTableChurn : public testing::TestWithParam<ChurnCase>
+{};
+
+// Random insert/erase churn against a shadow map: every surviving tag
+// keeps its own stride payload words. Up to 50% load no insert fails.
+// Stride 5 is the entry of a 1024-cache Compressed directory; it churns
+// near the 4-ary load limit, so insertCarry runs long displacement
+// chains and hits the attempt bound, and a discarded tag comes back
+// with its own words.
+TEST_P(CuckooTableChurn, ShadowMapAgreesUnderChurn)
 {
-    constexpr unsigned kStride = 5;
-    using Words = std::array<CuckooTable::Word, kStride>;
-    auto family = makeHashFamily(HashKind::Skewing, 3, 512, 5);
-    CuckooTable table(*family, 32, 1, kStride);
+    const auto [stride, max_load] = GetParam();
+    using Words = std::vector<CuckooTable::Word>;
+    auto family = makeHashFamily(HashKind::Skewing, 4, 512, 3);
+    CuckooTable table(*family, 32, 1, stride);
     std::map<Tag, Words> shadow;
-    Rng rng(43);
+    Rng rng(41);
     std::uint64_t chains = 0, discards = 0;
     auto holds = [&](Tag tag, const Words &words) {
         const CuckooTable::Word *found = table.find(tag);
         return found != nullptr &&
                std::equal(words.begin(), words.end(), found);
     };
-    for (int step = 0; step < 60000; ++step) {
-        const double load =
-            double(shadow.size()) / double(table.capacity());
-        if (!shadow.empty() && rng.chance(load > 0.9 ? 0.7 : 0.2)) {
+    for (int step = 0; step < 50000; ++step) {
+        if (!shadow.empty() && rng.chance(0.45)) {
             auto it = shadow.begin();
             std::advance(it, rng.below(shadow.size()));
             ASSERT_TRUE(holds(it->first, it->second)) << "step " << step;
-            const std::size_t pos = table.findPos(it->first);
-            ASSERT_EQ(table.tagAt(pos), it->first);
-            ASSERT_EQ(table.eraseAt(pos), it->second[0]);
+            auto payload = table.erase(it->first);
+            ASSERT_TRUE(payload.has_value());
+            ASSERT_EQ(*payload, it->second[0]);
             shadow.erase(it);
-        } else {
+        } else if (double(shadow.size()) <
+                   max_load * double(table.capacity())) {
             const Tag tag = rng.next() >> 6;
             if (shadow.count(tag))
                 continue;
-            Words value;
+            Words value(stride);
             for (auto &w : value)
                 w = rng.next();
             Words carry = value;
-            const auto res = table.insertCarry(tag, carry.data());
+            auto res = table.insertCarry(tag, carry.data());
             shadow[tag] = value;
             if (res.attempts > 1)
                 ++chains;
             if (res.discarded) {
+                ASSERT_GT(max_load, 0.5) << "<=50% occupancy never fails";
                 ++discards;
-                ASSERT_FALSE(res.discardedPayload.has_value());
                 ASSERT_EQ(table.find(res.discardedTag), nullptr);
                 ASSERT_EQ(carry, shadow.at(res.discardedTag))
                     << "step " << step;
@@ -353,17 +330,21 @@ TEST(CuckooTableStress, WideRecordsKeepTheirWordsUnderChurn)
         }
         ASSERT_EQ(table.size(), shadow.size());
     }
-    EXPECT_GT(chains, 1000u);
-    EXPECT_GT(discards, 10u);
-    std::size_t visited = 0;
-    table.forEach([&](Tag tag, const CuckooTable::Word &first) {
-        ++visited;
-        EXPECT_EQ(first, shadow.at(tag)[0]);
-    });
-    EXPECT_EQ(visited, shadow.size());
+    if (max_load > 0.5) {
+        EXPECT_GT(chains, 1000u);
+        EXPECT_GT(discards, 100u);
+    }
     for (const auto &[tag, words] : shadow)
         EXPECT_TRUE(holds(tag, words)) << "tag " << tag;
 }
+
+INSTANTIATE_TEST_SUITE_P(Strides, CuckooTableChurn,
+                         testing::Values(ChurnCase{1, 0.5},
+                                         ChurnCase{5, 0.97}),
+                         [](const auto &info) {
+                             return "stride" +
+                                    std::to_string(info.param.stride);
+                         });
 
 TEST(CuckooTableStress, ReinsertAfterEraseFindsFreshPayload)
 {
