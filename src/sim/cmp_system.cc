@@ -225,11 +225,9 @@ CmpSystem::flush()
     if (dirtySlices.empty())
         return;
 
-    // With a batch window, first hint every staged probe's candidate
-    // lines into the cache, so replay finds them (likely) resident
-    // instead of taking each slice's misses one after another. At
-    // window 1 replay follows staging at once and has nothing to
-    // overlap. prefetchTag() has no observable effect.
+    // With a batch window, hint every staged probe's candidate slots
+    // first so replay's misses overlap. At window 1 replay follows
+    // staging at once and has nothing to overlap.
     if (cfg.batchWindow > 1) {
         for (const std::uint32_t s : dirtySlices) {
             const Directory &dir = *slices[s];

@@ -36,7 +36,9 @@
  * its tag's insertion still retires the sharer). What a larger window
  * trades away is only the cross-reference feedback through the private
  * caches (invalidations land at run boundaries instead of between
- * references).
+ * references). A larger window also lets flush() prefetch every
+ * staged operation's directory slots (prefetchTag) before replay, so
+ * their host-cache misses overlap.
  *
  * Sharded execution (setShards): the physical directory is distributed —
  * every block address maps to exactly one slice, so slices never share
