@@ -184,6 +184,110 @@ TEST(SkewingHash, ChunkPermutationIsBijective)
     }
 }
 
+// --- Skewing against a branchy reference -----------------------------------
+
+/** The family's primitive feedback masks, indexed by index width. */
+constexpr std::uint64_t kReferenceFeedback[] = {
+    0x0,      0x0,      0x3,      0x6,      0xc,       0x14,     0x30,
+    0x60,     0xb8,     0x110,    0x240,    0x500,     0xe08,    0x1c80,
+    0x3802,   0x6000,   0xd008,   0x12000,  0x20400,   0x72000,  0x90000,
+    0x140000, 0x300000, 0x420000, 0xe10000,
+};
+
+/** One Galois-LFSR step on a @p bits-wide value, written with branches. */
+std::uint64_t
+referenceSigma(std::uint64_t v, unsigned bits)
+{
+    const bool lsb = v & 1;
+    v >>= 1;
+    if (lsb)
+        v ^= kReferenceFeedback[bits];
+    return v;
+}
+
+/** Inverse of referenceSigma, written with branches. */
+std::uint64_t
+referenceSigmaInv(std::uint64_t v, unsigned bits)
+{
+    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+    if (v & (std::uint64_t{1} << (bits - 1)))
+        return (((v ^ kReferenceFeedback[bits]) << 1) | 1) & mask;
+    return (v << 1) & mask;
+}
+
+/**
+ * Reference f_w(tag) for ways [0, ways) into @p out:
+ * sigma^w(a1) ^ sigmaInv^w(a2) ^ a3 over the tag's low three chunks.
+ */
+void
+referenceIndices(Tag tag, unsigned bits, unsigned ways, std::size_t *out)
+{
+    const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+    std::uint64_t a1 = tag & mask;
+    std::uint64_t a2 = (tag >> bits) & mask;
+    const std::uint64_t a3 = (tag >> (2 * bits)) & mask;
+    for (unsigned w = 0; w < ways; ++w) {
+        out[w] = static_cast<std::size_t>(a1 ^ a2 ^ a3);
+        a1 = referenceSigma(a1, bits);
+        a2 = referenceSigmaInv(a2, bits);
+    }
+}
+
+/**
+ * Number of ways on which @p family's index() or indexAll() differs
+ * from the reference for @p tag.
+ */
+int
+referenceMismatches(const SkewingHashFamily &family, unsigned bits, Tag tag)
+{
+    const unsigned ways = family.numWays();
+    std::size_t expected[8], all[8];
+    referenceIndices(tag, bits, ways, expected);
+    family.indexAll(tag, all);
+    int mismatches = 0;
+    for (unsigned w = 0; w < ways; ++w) {
+        if (all[w] != expected[w])
+            ++mismatches;
+        if (family.index(w, tag) != expected[w])
+            ++mismatches;
+    }
+    return mismatches;
+}
+
+TEST(SkewingHash, MatchesBranchyReferenceAtEveryWidth)
+{
+    Rng rng(17);
+    for (unsigned bits = 2; bits <= 24; ++bits) {
+        for (unsigned ways = 1; ways <= 8; ++ways) {
+            const SkewingHashFamily family(ways, std::size_t{1} << bits);
+            int mismatches = 0;
+            for (int i = 0; i < 512; ++i)
+                mismatches += referenceMismatches(family, bits, rng.next());
+            EXPECT_EQ(mismatches, 0) << bits << " bits, " << ways << " ways";
+        }
+    }
+}
+
+TEST(SkewingHash, MatchesBranchyReferenceOnEveryChunkPair)
+{
+    // Every (a1, a2) chunk pair at widths up to 10, with random third
+    // chunk and high bits, through all eight ways.
+    Rng rng(19);
+    for (unsigned bits = 2; bits <= 10; ++bits) {
+        const SkewingHashFamily family(8, std::size_t{1} << bits);
+        const Tag chunks = Tag{1} << bits;
+        int mismatches = 0;
+        for (Tag a1 = 0; a1 < chunks; ++a1) {
+            for (Tag a2 = 0; a2 < chunks; ++a2) {
+                const Tag high = rng.next() << (2 * bits);
+                mismatches += referenceMismatches(family, bits,
+                                                  a1 | (a2 << bits) | high);
+            }
+        }
+        EXPECT_EQ(mismatches, 0) << bits << " bits";
+    }
+}
+
 // --- Strong hash specifics --------------------------------------------------
 
 TEST(StrongHash, MixAvalanches)

@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cassert>
+#include <cmath>
+#include <cstring>
 #include <map>
 #include <set>
+#include <type_traits>
+#include <vector>
 
 #include "workload/workload.hh"
 
@@ -63,6 +69,94 @@ TEST(Zipf, SingleItemAlwaysZero)
     Rng rng(4);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(z.sample(rng), 0u);
+}
+
+/**
+ * The coarse-index binary-search sampler that ZipfSampler replaced,
+ * kept verbatim as the reference its draws must equal.
+ */
+class ReferenceZipfSampler
+{
+  public:
+    ReferenceZipfSampler(std::size_t n, double theta) : items(n), skew(theta)
+    {
+        assert(n >= 1);
+        if (skew <= 0.0)
+            return; // uniform fast path
+        cdf.reserve(n);
+        double total = 0.0;
+        for (std::size_t k = 1; k <= n; ++k) {
+            total += 1.0 / std::pow(static_cast<double>(k), skew);
+            cdf.push_back(total);
+        }
+        for (auto &v : cdf)
+            v /= total;
+        indexBuckets = std::min<std::size_t>(4096, std::max<std::size_t>(64, n));
+        bucketStart.resize(indexBuckets + 1);
+        std::size_t rank = 0;
+        for (std::size_t b = 0; b < indexBuckets; ++b) {
+            const double threshold =
+                static_cast<double>(b) / static_cast<double>(indexBuckets);
+            while (rank < n - 1 && cdf[rank] < threshold)
+                ++rank;
+            bucketStart[b] = rank;
+        }
+        bucketStart[indexBuckets] = n - 1;
+    }
+
+    std::size_t
+    sample(Rng &rng) const
+    {
+        if (skew <= 0.0)
+            return static_cast<std::size_t>(rng.below(items));
+        const double u = rng.uniform();
+        const std::size_t b = std::min(
+            indexBuckets - 1,
+            static_cast<std::size_t>(u * static_cast<double>(indexBuckets)));
+        std::size_t lo = bucketStart[b], hi = bucketStart[b + 1];
+        while (lo < hi) {
+            const std::size_t mid = (lo + hi) / 2;
+            if (cdf[mid] < u)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    }
+
+  private:
+    std::size_t items;
+    double skew;
+    std::vector<double> cdf;
+    std::size_t indexBuckets = 0;
+    std::vector<std::size_t> bucketStart;
+};
+
+TEST(Zipf, DrawsMatchReferenceSampler)
+{
+    // Same ranks and the same generator state after every sweep, over
+    // sizes on both sides of every bucket-count boundary and skews
+    // from near-uniform to beyond classic Zipf.
+    static_assert(std::is_trivially_copyable_v<Rng>);
+    const std::size_t sizes[] = {1,    2,    17,   1000,  1024,  1280,
+                                 4096, 4097, 6144, 24576, 100000};
+    const double thetas[] = {0.0, 0.05, 0.3, 0.7, 0.9, 1.0, 1.2};
+    const int draws = 100000;
+    for (std::size_t n : sizes) {
+        for (double theta : thetas) {
+            const ZipfSampler z(n, theta);
+            const ReferenceZipfSampler ref(n, theta);
+            Rng a(n * 1000 + static_cast<std::uint64_t>(theta * 100));
+            Rng b = a;
+            int mismatches = 0;
+            for (int i = 0; i < draws; ++i)
+                if (z.sample(a) != ref.sample(b))
+                    ++mismatches;
+            EXPECT_EQ(mismatches, 0) << "n=" << n << " theta=" << theta;
+            EXPECT_EQ(std::memcmp(&a, &b, sizeof(Rng)), 0)
+                << "n=" << n << " theta=" << theta;
+        }
+    }
 }
 
 TEST(Workload, DeterministicForSeed)
