@@ -136,7 +136,8 @@ FleetWorkload::next()
 {
     MemAccess access;
     access.core = nextCore;
-    nextCore = static_cast<CoreId>((nextCore + 1) % cfg.numCores);
+    if (++nextCore == cfg.numCores)
+        nextCore = 0;
 
     const std::uint64_t tick = emitted;
     const std::size_t active = activeTenants();

@@ -91,7 +91,8 @@ SyntheticWorkload::next()
 {
     MemAccess access;
     access.core = nextCore;
-    nextCore = static_cast<CoreId>((nextCore + 1) % cfg.numCores);
+    if (++nextCore == cfg.numCores)
+        nextCore = 0;
 
     if (rng.chance(cfg.instructionFraction)) {
         access.instruction = true;

@@ -13,9 +13,13 @@
 #define CDIR_WORKLOAD_ZIPF_HH
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hh"
@@ -27,7 +31,7 @@ class ZipfSampler
 {
   public:
     /**
-     * @param n     number of ranks.
+     * @param n     number of ranks; at most 2^32 when @p theta > 0.
      * @param theta skew; 0 = uniform, ~1 = classic Zipf.
      */
     ZipfSampler(std::size_t n, double theta) : items(n), skew(theta)
@@ -35,6 +39,10 @@ class ZipfSampler
         assert(n >= 1);
         if (skew <= 0.0)
             return; // uniform fast path
+        if (n - 1 > std::numeric_limits<std::uint32_t>::max())
+            throw std::invalid_argument(
+                "Zipf sampler: " + std::to_string(n) +
+                " ranks exceed the 32-bit guide table");
         cdf.reserve(n);
         double total = 0.0;
         for (std::size_t k = 1; k <= n; ++k) {
@@ -44,46 +52,46 @@ class ZipfSampler
         for (auto &v : cdf)
             v /= total;
 
-        // Coarse index over u-space: bucketStart[b] is the first rank
-        // whose CDF value reaches b/K. A draw's answer (first rank with
-        // cdf >= u) then lies in [bucketStart[b], bucketStart[b+1]] for
-        // u's bucket b, so the binary search runs over a handful of
-        // ranks instead of the whole CDF — the answer is provably the
-        // same index, only found through fewer (cache-missing) probes.
-        indexBuckets = std::min<std::size_t>(4096, std::max<std::size_t>(64, n));
-        bucketStart.resize(indexBuckets + 1);
+        // Guide table over u-space: guide[b] is the first rank whose
+        // CDF reaches b/K. A draw's answer (first rank with cdf >= u)
+        // lies in [guide[b], guide[b+1]] for u's bucket b. K is a power
+        // of two, so b/K is exact and b is the top bits of u's integer.
+        const std::size_t buckets = std::max<std::size_t>(
+            64, std::bit_ceil(2 * std::min<std::size_t>(n, 4096)));
+        bucketShift = 53 - static_cast<unsigned>(std::countr_zero(buckets));
+        guide.resize(buckets + 1);
+        const double step = 1.0 / static_cast<double>(buckets);
         std::size_t rank = 0;
-        for (std::size_t b = 0; b < indexBuckets; ++b) {
-            const double threshold =
-                static_cast<double>(b) / static_cast<double>(indexBuckets);
-            while (rank < n - 1 && cdf[rank] < threshold)
+        for (std::size_t b = 0; b < buckets; ++b) {
+            while (rank < n - 1 && cdf[rank] < static_cast<double>(b) * step)
                 ++rank;
-            bucketStart[b] = rank;
+            guide[b] = static_cast<std::uint32_t>(rank);
         }
-        bucketStart[indexBuckets] = n - 1;
+        guide[buckets] = static_cast<std::uint32_t>(n - 1);
     }
 
-    /** Draw one rank using @p rng. */
+    /** Draw one rank using @p rng (one rng.next() per draw). */
     std::size_t
     sample(Rng &rng) const
     {
         if (skew <= 0.0)
             return static_cast<std::size_t>(rng.below(items));
-        const double u = rng.uniform();
-        // Binary search the CDF for the first bucket >= u, with the
-        // bounds pre-narrowed by the coarse index (same first-true
-        // index as a full-range search).
-        const std::size_t b = std::min(
-            indexBuckets - 1,
-            static_cast<std::size_t>(u * static_cast<double>(indexBuckets)));
-        std::size_t lo = bucketStart[b], hi = bucketStart[b + 1];
-        while (lo < hi) {
+        // The 53-bit integer Rng::uniform() scales into [0, 1).
+        const std::uint64_t m = rng.next() >> 11;
+        const double u = static_cast<double>(m) * 0x1.0p-53;
+        const std::uint64_t b = m >> bucketShift;
+        std::size_t lo = guide[b], hi = guide[b + 1];
+        // Halve long ranges (flat tails of large footprints) down to a
+        // short run, then scan it forward: cdf[hi] >= u ends the scan.
+        while (hi - lo > kScanRun) {
             const std::size_t mid = (lo + hi) / 2;
             if (cdf[mid] < u)
                 lo = mid + 1;
             else
                 hi = mid;
         }
+        while (cdf[lo] < u)
+            ++lo;
         return lo;
     }
 
@@ -94,11 +102,14 @@ class ZipfSampler
     double theta() const { return skew; }
 
   private:
+    /** Longest guide range scanned without halving it first. */
+    static constexpr std::size_t kScanRun = 8;
+
     std::size_t items;
     double skew;
     std::vector<double> cdf;
-    std::size_t indexBuckets = 0;
-    std::vector<std::size_t> bucketStart; //!< coarse u-space index
+    unsigned bucketShift = 0;         //!< 53 - log2(buckets)
+    std::vector<std::uint32_t> guide; //!< first rank per u-space bucket
 };
 
 } // namespace cdir

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -157,6 +158,14 @@ TEST(Zipf, DrawsMatchReferenceSampler)
                 << "n=" << n << " theta=" << theta;
         }
     }
+}
+
+TEST(Zipf, RejectsRanksBeyondThe32BitGuide)
+{
+    // Thrown before the CDF is allocated; the uniform path has no guide.
+    const std::size_t too_many = (std::size_t{1} << 32) + 1;
+    EXPECT_THROW(ZipfSampler(too_many, 0.9), std::invalid_argument);
+    EXPECT_NO_THROW(ZipfSampler(too_many, 0.0));
 }
 
 TEST(Workload, DeterministicForSeed)
