@@ -1,6 +1,8 @@
 #include "hash/skewing_hash.hh"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "common/bit_util.hh"
 
@@ -28,34 +30,33 @@ SkewingHashFamily::SkewingHashFamily(unsigned num_ways,
                                      std::size_t sets_per_way)
     : ways(num_ways), sets(sets_per_way)
 {
-    assert(num_ways >= 1);
-    assert(isPowerOfTwo(sets_per_way) && sets_per_way >= 4);
+    if (num_ways == 0)
+        throw std::invalid_argument("skewing hash family needs >= 1 way");
+    if (!isPowerOfTwo(sets_per_way) || sets_per_way < 4 ||
+        sets_per_way > (std::size_t{1} << 24))
+        throw std::invalid_argument(
+            "skewing hash family needs a power-of-two 4..16M sets per way, "
+            "got " + std::to_string(sets_per_way));
     indexBits = floorLog2(sets_per_way);
-    assert(indexBits >= 2 && indexBits <= 24 &&
-           "skewing family supports 4..16M sets per way");
     feedback = feedbackTable[indexBits];
 }
 
 std::uint64_t
 SkewingHashFamily::sigma(std::uint64_t v) const
 {
-    const bool lsb = v & 1;
-    v >>= 1;
-    if (lsb)
-        v ^= feedback;
-    return v;
+    // The shifted-out bit selects the feedback through an all-ones or
+    // all-zero mask: no data-dependent branch.
+    return (v >> 1) ^ (feedback & -(v & 1));
 }
 
 std::uint64_t
 SkewingHashFamily::sigmaInv(std::uint64_t v) const
 {
     // Forward step: v' = (v >> 1) ^ (v&1 ? F : 0). The feedback mask has
-    // its top bit set, so the shifted-out bit is recoverable from the top
-    // bit of v': set means the feedback was applied (lsb was 1).
-    const std::uint64_t top = std::uint64_t{1} << (indexBits - 1);
-    if (v & top)
-        return (((v ^ feedback) << 1) | 1) & lowMask(indexBits);
-    return (v << 1) & lowMask(indexBits);
+    // its top bit set, so the shifted-out bit is the top bit of v': set
+    // means the feedback was applied (lsb was 1).
+    const std::uint64_t top = (v >> (indexBits - 1)) & 1;
+    return (((v ^ (feedback & -top)) << 1) | top) & lowMask(indexBits);
 }
 
 std::size_t

@@ -28,7 +28,8 @@ class SkewingHashFamily : public HashFamily
   public:
     /**
      * @param num_ways     number of member functions.
-     * @param sets_per_way codomain size; must be a power of two >= 2.
+     * @param sets_per_way codomain size; a power of two in [4, 2^24].
+     * @throws std::invalid_argument for 0 ways or any other set count.
      */
     SkewingHashFamily(unsigned num_ways, std::size_t sets_per_way);
 

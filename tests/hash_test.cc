@@ -9,6 +9,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hh"
@@ -182,6 +183,21 @@ TEST(SkewingHash, ChunkPermutationIsBijective)
             images.insert(family.index(way, a1));
         EXPECT_EQ(images.size(), 64u) << "way " << way;
     }
+}
+
+TEST(SkewingHash, RejectsInvalidGeometry)
+{
+    // Two sets per way would give sigma a zero feedback mask (not a
+    // bijection); every geometry outside 1+ ways x 4..2^24 sets throws.
+    EXPECT_THROW(SkewingHashFamily(0, 64), std::invalid_argument);
+    for (std::size_t sets : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                             std::size_t{48}, std::size_t{1} << 25})
+        EXPECT_THROW(SkewingHashFamily(4, sets), std::invalid_argument)
+            << sets << " sets";
+    EXPECT_THROW(makeHashFamily(HashKind::Skewing, 4, 2, 0),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(SkewingHashFamily(1, 4));
+    EXPECT_NO_THROW(SkewingHashFamily(8, std::size_t{1} << 24));
 }
 
 // --- Skewing against a branchy reference -----------------------------------
