@@ -223,7 +223,7 @@ class CuckooTable
                 swapPayload(carry, vacant);
                 valids[vacant] = 1;
                 ++occupied;
-                nextWay = (placed_way + 1) % ways;
+                nextWay = placed_way + 1 == ways ? 0 : placed_way + 1;
                 return result;
             }
 
@@ -242,12 +242,14 @@ class CuckooTable
             // victim choice across bucket slots.
             const std::size_t victim =
                 (std::size_t{way} * sets + idx[way]) * bucketSlots +
-                victimRotor % bucketSlots;
-            ++victimRotor;
+                victimRotor;
+            if (++victimRotor == bucketSlots)
+                victimRotor = 0;
             assert(valids[victim] != 0);
             std::swap(cur_tag, record(victim)[0]);
             swapPayload(carry, victim);
-            way = (way + 1) % ways;
+            if (++way == ways)
+                way = 0;
         }
     }
 
@@ -379,8 +381,8 @@ class CuckooTable
     findVacantPos(const std::size_t *idx, unsigned start,
                   unsigned &found_way) const
     {
+        unsigned w = start;
         for (unsigned i = 0; i < ways; ++i) {
-            const unsigned w = (start + i) % ways;
             const std::size_t base =
                 (std::size_t{w} * sets + idx[w]) * bucketSlots;
             const std::size_t b =
@@ -389,6 +391,8 @@ class CuckooTable
                 found_way = w;
                 return base + b;
             }
+            if (++w == ways)
+                w = 0;
         }
         return npos;
     }
@@ -403,7 +407,7 @@ class CuckooTable
     std::vector<Word> records;        //!< per-slot tag + payload words
     std::size_t occupied = 0;
     unsigned nextWay = 0;     //!< round-robin start way (§4.2)
-    unsigned victimRotor = 0; //!< bucket-slot victim rotation
+    unsigned victimRotor = 0; //!< bucket-slot victim, in [0, bucketSlots)
 };
 
 } // namespace cdir
