@@ -12,6 +12,8 @@
 
 #include <unistd.h>
 
+#include "common/json.hh"
+
 namespace cdir {
 
 namespace {
@@ -25,35 +27,6 @@ namespace {
 // and doubles print with %.17g, which strtod() round-trips to the same
 // bit pattern — so parse(write(x)) == x field-for-field, and rendering
 // the reloaded struct reproduces the original bytes.
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 fmtU64(std::uint64_t v)

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <string_view>
 
+#include "common/json.hh"
 #include "model/cost_model.hh"
 #include "workload/fleet.hh"
 #include "workload/scenario.hh"
@@ -322,36 +323,6 @@ ReportTable::addRow(std::vector<ReportCell> cells)
 // --- Reporter ----------------------------------------------------------------
 
 namespace {
-
-/** Minimal JSON string escaping (quotes, backslashes, control chars). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (const char ch : s) {
-        switch (ch) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            if (static_cast<unsigned char>(ch) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-                out += buf;
-            } else {
-                out += ch;
-            }
-        }
-    }
-    return out;
-}
 
 /** Quote a CSV field only when it needs it. */
 std::string
