@@ -11,6 +11,9 @@
  *    caches inclusion invariant for every organization, and
  *    batchWindow == 1 must reproduce the per-reference access() path
  *    exactly;
+ *  - every organization's whole-system counters at window 64 under the
+ *    mesh cost model are pinned by digest, so the windowed flush path
+ *    cannot drift for any of them;
  *  - steady-state directory churn through the context protocol must be
  *    allocation-free for every organization (the redesign's headline
  *    guarantee).
@@ -18,13 +21,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/alloc_counter.hh"
 #include "common/rng.hh"
 #include "dir_test_util.hh"
 #include "directory/registry.hh"
+#include "model/cost_model.hh"
 #include "sim/cmp_system.hh"
+#include "system_digest.hh"
 
 namespace cdir {
 namespace {
@@ -242,6 +250,59 @@ TEST(BatchAccess, WindowOfOneMatchesPerReferenceDriver)
         EXPECT_EQ(batched.stats().forcedInvalidations,
                   serial.stats().forcedInvalidations)
             << name;
+    }
+}
+
+/**
+ * Window-64 pin: a 16-core Shared-L2 CMP with 16 slices and a
+ * directory holding a quarter of the tracked frames, so every flush
+ * spans many dirty slices and the conflict paths run constantly.
+ */
+std::uint64_t
+windowedMeshDigest(const std::string &organization)
+{
+    CmpConfig cfg;
+    cfg.kind = CmpConfigKind::SharedL2;
+    cfg.numCores = 16;
+    cfg.numSlices = 16;
+    cfg.privateCache = CacheConfig{32, 2};
+    cfg.batchWindow = 64;
+    cfg.directory = paramsFor(organization);
+    cfg.directory.ways =
+        (organization == "Sparse" || organization == "InCache") ? 8 : 4;
+    cfg.directory.sets = 32 / cfg.directory.ways;
+    CmpSystem sys(cfg);
+    const std::unique_ptr<CostModel> costs = makeCostModel("mesh", cfg);
+    sys.setCostModel(costs.get());
+    WorkloadParams params =
+        paperWorkloadParams(PaperWorkload::OltpDb2, false, 16);
+    params.seed = 2026;
+    SyntheticSource source(params);
+    EXPECT_EQ(sys.run(source, 40000, 5000), 40000u);
+    return test::systemDigest(sys);
+}
+
+TEST(BatchAccess, WindowOf64IsPinnedForEveryOrganization)
+{
+    // clang-format off
+    const std::pair<const char *, std::uint64_t> kPinned[] = {
+        {"Cuckoo",       0x562ea58a276532d0ull},
+        {"DuplicateTag", 0x6010b94060a30b3cull},
+        {"Elbow",        0xca0b457c4ae18dc6ull},
+        {"InCache",      0x8095810361ab127eull},
+        {"Skewed",       0x22b78994867fa10bull},
+        {"Sparse",       0x8095810361ab127eull},
+        {"Tagless",      0xba20a8b02f5b13d1ull},
+    };
+    // clang-format on
+    const std::vector<std::string> names =
+        DirectoryRegistry::instance().names();
+    ASSERT_EQ(names.size(), std::size(kPinned))
+        << "pin every registered organization";
+    for (const auto &[organization, digest] : kPinned) {
+        const std::uint64_t got = windowedMeshDigest(organization);
+        EXPECT_EQ(got, digest)
+            << organization << " measured 0x" << std::hex << got;
     }
 }
 

@@ -29,12 +29,12 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 
 #include "model/cost_model.hh"
 #include "sim/cmp_system.hh"
+#include "system_digest.hh"
 #include "workload/workload.hh"
 
 namespace cdir {
@@ -63,33 +63,6 @@ formatName(SharerFormat format)
     }
     return "?";
 }
-
-/** 64-bit FNV-1a over a sequence of words. */
-class Digest
-{
-  public:
-    void
-    add(std::uint64_t word)
-    {
-        for (int b = 0; b < 8; ++b) {
-            state ^= (word >> (8 * b)) & 0xff;
-            state *= 0x100000001b3ull;
-        }
-    }
-
-    void
-    add(double value)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &value, sizeof bits);
-        add(bits);
-    }
-
-    std::uint64_t value() const { return state; }
-
-  private:
-    std::uint64_t state = 0xcbf29ce484222325ull;
-};
 
 /**
  * A Private-L2 CMP with @p caches cores whose directory holds about
@@ -129,34 +102,7 @@ measureDigest(const FormatCell &cell)
     SyntheticWorkload workload(params);
     const std::uint64_t accesses = cell.caches > 64 ? 120000 : 60000;
     system.run(workload, accesses, 5000);
-
-    const CmpStats &sys = system.stats();
-    const DirectoryStats dir = system.aggregateDirectoryStats();
-    Digest d;
-    for (const std::uint64_t v :
-         {sys.accesses, sys.cacheHits, sys.cacheMisses, sys.writeUpgrades,
-          sys.cacheEvictions, sys.sharingInvalidations,
-          sys.forcedInvalidations, sys.directoryOccupancy.count()})
-        d.add(v);
-    d.add(sys.directoryOccupancy.sum());
-    d.add(sys.latency.count());
-    d.add(sys.latency.totalCycles());
-    for (std::size_t b = 0; b < LatencyHistogram::kBuckets; ++b)
-        d.add(sys.latency.bucketAt(b));
-    for (const std::uint64_t v :
-         {dir.lookups, dir.hits, dir.insertions, dir.sharerAdds,
-          dir.writeUpgrades, dir.sharerRemovals, dir.entryFrees,
-          dir.forcedEvictions, dir.forcedBlockInvalidations,
-          dir.insertFailures, dir.insertionAttempts.count()})
-        d.add(v);
-    d.add(dir.insertionAttempts.sum());
-    for (std::size_t b = 0; b <= dir.attemptHistogram.maxValue(); ++b)
-        d.add(dir.attemptHistogram.at(b));
-    std::uint64_t valid = 0;
-    for (std::size_t s = 0; s < system.numSlices(); ++s)
-        valid += system.slice(s).validEntries();
-    d.add(valid);
-    return d.value();
+    return test::systemDigest(system);
 }
 
 // clang-format off
