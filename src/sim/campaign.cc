@@ -758,7 +758,6 @@ experimentOptionsToJson(const ExperimentOptions &o)
     w.u64("warmup", o.warmupAccesses);
     w.u64("measure", o.measureAccesses);
     w.u64("occupancy_sample_every", o.occupancySampleEvery);
-    w.u64("shards", o.shards);
     w.u64("interval_accesses", o.intervalAccesses);
     w.str("cost_model", o.costModel);
     w.u64("probe_every", o.probeEvery);
@@ -773,7 +772,6 @@ parseExperimentOptions(const JsonValue &v)
     o.warmupAccesses = v.at("warmup").asU64();
     o.measureAccesses = v.at("measure").asU64();
     o.occupancySampleEvery = v.at("occupancy_sample_every").asU64();
-    o.shards = static_cast<unsigned>(v.at("shards").asU64());
     o.intervalAccesses = v.at("interval_accesses").asU64();
     o.costModel = v.at("cost_model").asString();
     // Optional for manifests written before the feedback subsystem.
@@ -1003,6 +1001,22 @@ buildCampaignManifest(std::span<const SweepSpec> specs,
     return manifest;
 }
 
+namespace {
+
+/** Reject a campaign @p what document written at another version. */
+void
+checkVersion(const JsonValue &doc, const char *what)
+{
+    const std::uint64_t version = doc.at("version").asU64();
+    if (version != CampaignManifest::kVersion)
+        throw std::runtime_error(
+            std::string("unsupported campaign ") + what + " version " +
+            fmtU64(version) + " (tool supports " +
+            fmtU64(CampaignManifest::kVersion) + ")");
+}
+
+} // namespace
+
 std::string
 campaignManifestToJson(const CampaignManifest &manifest)
 {
@@ -1028,11 +1042,7 @@ parseCampaignManifest(const std::string &json)
         throw std::runtime_error(
             "not a campaign manifest (format: '" +
             doc.at("format").asString() + "')");
-    if (doc.at("version").asU64() != CampaignManifest::kVersion)
-        throw std::runtime_error(
-            "unsupported campaign manifest version " +
-            fmtU64(doc.at("version").asU64()) + " (tool supports " +
-            fmtU64(CampaignManifest::kVersion) + ")");
+    checkVersion(doc, "manifest");
     CampaignManifest manifest;
     manifest.tool = doc.at("tool").asString();
     manifest.specCount =
@@ -1105,8 +1115,7 @@ readCampaignShard(const std::string &shard_dir,
             JsonParser(readFileOrThrow(path)).parseDocument();
         if (doc.at("format").asString() != "cdir-campaign-shard")
             throw std::runtime_error("not a campaign shard");
-        if (doc.at("version").asU64() != CampaignManifest::kVersion)
-            throw std::runtime_error("unsupported shard version");
+        checkVersion(doc, "shard");
         if (doc.at("cell").asString() != cell_id)
             throw std::runtime_error(
                 "shard is for cell " + doc.at("cell").asString());
@@ -1340,10 +1349,7 @@ parseCampaignResults(const CampaignManifest &manifest,
         throw std::runtime_error(
             "not a campaign results document (format: '" +
             doc.at("format").asString() + "')");
-    if (doc.at("version").asU64() != CampaignManifest::kVersion)
-        throw std::runtime_error(
-            "unsupported campaign results version " +
-            fmtU64(doc.at("version").asU64()));
+    checkVersion(doc, "results");
     if (doc.at("tool").asString() != manifest.tool)
         throw std::runtime_error(
             "results were produced for tool '" +

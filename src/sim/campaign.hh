@@ -67,7 +67,12 @@ struct CampaignCell
 /** A versioned campaign work list (see file comment). */
 struct CampaignManifest
 {
-    static constexpr int kVersion = 1;
+    /**
+     * Version 2 dropped the options' "shards" field. Cell ids hash the
+     * options JSON, so manifests, shards and results of an older
+     * version are rejected rather than merged.
+     */
+    static constexpr int kVersion = 2;
     /** Emitting harness ("fig12", "ext_tail_latency", ...). */
     std::string tool;
     /** Specs in the emitting runMany() span (grouping key on merge). */

@@ -12,6 +12,8 @@
  *  - merged shards render byte-identically to the single-process
  *    reference at --jobs=1 and --jobs=4, over a 2-organization grid
  *    with the mesh cost model and interval telemetry on;
+ *  - version-1 manifests, shards and results documents are rejected
+ *    with the version message;
  *  - resume: a completed prefix is skipped, torn .tmp files from a
  *    "killed worker" are swept, and the final document is unchanged;
  *  - kill-and-resume through the real campaign_tool binary (fork/exec
@@ -321,6 +323,66 @@ TEST(CampaignMerge, ParseResultsValidatesAgainstTheGrid)
     CampaignManifest renamed = manifest;
     renamed.tool = "fig12";
     EXPECT_THROW(parseCampaignResults(renamed, doc), std::runtime_error);
+}
+
+/** Rewrite @p doc's `"version": <current>` to `"version": 1`. */
+std::string
+asVersion1(std::string doc)
+{
+    const std::string current =
+        "\"version\": " + std::to_string(CampaignManifest::kVersion);
+    const std::size_t at = doc.find(current);
+    EXPECT_NE(at, std::string::npos) << doc.substr(0, 120);
+    if (at != std::string::npos)
+        doc.replace(at, current.size(), "\"version\": 1");
+    return doc;
+}
+
+/** @p read must throw naming the @p what document's stale version. */
+template <typename Read>
+void
+expectVersion1Rejected(const char *what, Read &&read)
+{
+    try {
+        read();
+        ADD_FAILURE() << "a version-1 " << what << " was accepted";
+    } catch (const std::runtime_error &e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(std::string("unsupported campaign ") +
+                               what + " version 1 (tool supports " +
+                               std::to_string(CampaignManifest::kVersion) +
+                               ")"),
+                  std::string::npos)
+            << message;
+    }
+}
+
+TEST(CampaignVersion, Version1DocumentsAreRejected)
+{
+    // Version 1 serialized the options' "shards" field into every cell
+    // id; its manifests, shards and results must fail loudly instead of
+    // mis-merging.
+    ASSERT_EQ(CampaignManifest::kVersion, 2);
+    const CampaignManifest manifest = gridManifest();
+    const std::string manifest_v1 =
+        asVersion1(campaignManifestToJson(manifest));
+    expectVersion1Rejected("manifest",
+                           [&] { parseCampaignManifest(manifest_v1); });
+
+    const std::string dir = scratchDir("version1");
+    const std::string &cell = manifest.cells[0].id;
+    writeCampaignShard(dir, cell, ExperimentResult{});
+    const std::string path = campaignShardPath(dir, cell);
+    const std::string shard_v1 = asVersion1(slurp(path));
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << shard_v1;
+    ExperimentResult out;
+    expectVersion1Rejected("shard",
+                           [&] { readCampaignShard(dir, cell, out); });
+    fs::remove_all(dir);
+
+    const std::string results_v1 = asVersion1(referenceJson(manifest));
+    expectVersion1Rejected(
+        "results", [&] { parseCampaignResults(manifest, results_v1); });
 }
 
 TEST(CampaignMerge, IncompleteCampaignThrowsListingMissingCells)
