@@ -1,6 +1,5 @@
 #include "sim/cmp_system.hh"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -28,7 +27,8 @@ CmpConfig::paperConfig(CmpConfigKind kind, std::size_t cores)
     return cfg;
 }
 
-CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
+CmpSystem::CmpSystem(const CmpConfig &config)
+    : cfg(config), context(config.numCaches())
 {
     if (cfg.numSlices == 0 || !isPowerOfTwo(cfg.numSlices))
         throw std::invalid_argument(
@@ -70,21 +70,16 @@ CmpSystem::CmpSystem(const CmpConfig &config) : cfg(config)
     slices.reserve(cfg.numSlices);
     queues.resize(cfg.numSlices);
     dirtySlices.reserve(cfg.numSlices);
-    contexts.reserve(cfg.numSlices);
+    // A window stages at most batchWindow requests and removals per
+    // slice; reserving that bound keeps the steady-state loop free of
+    // heap traffic.
+    context.reserve(cfg.batchWindow);
     for (std::size_t s = 0; s < cfg.numSlices; ++s) {
         dir.hashSeed = cfg.directory.hashSeed + s;
         slices.push_back(makeDirectory(dir));
-        contexts.emplace_back(n_caches);
-        // A window stages at most batchWindow requests and removals per
-        // slice; reserving that bound keeps the steady-state loop free
-        // of heap traffic.
-        contexts.back().reserve(cfg.batchWindow);
         queues[s].removals.reserve(cfg.batchWindow);
         queues[s].requests.reserve(cfg.batchWindow);
     }
-    // Serial default: every slice on lane 0.
-    sliceShard.assign(cfg.numSlices, 0);
-    rebuildLaneLists();
 }
 
 CacheId
@@ -149,74 +144,7 @@ CmpSystem::markDirty(std::size_t slice)
     if (!queues[slice].dirty) {
         queues[slice].dirty = true;
         dirtySlices.push_back(static_cast<std::uint32_t>(slice));
-        if (shardCount > 1)
-            shardDirty[shardOf(slice)].push_back(
-                static_cast<std::uint32_t>(slice));
     }
-}
-
-void
-CmpSystem::setShards(unsigned shards)
-{
-    if (shards == 0)
-        shards = 1;
-    if (shards > cfg.numSlices)
-        shards = static_cast<unsigned>(cfg.numSlices);
-    assert(dirtySlices.empty() &&
-           "setShards must not interrupt an open batch window");
-    if (shards != shardCount) {
-        shardGroup.reset();
-        shardPool.reset();
-        shardCount = shards;
-        shardDirty.assign(shardCount, {});
-        shardOccupancy.assign(shardCount, {0, 0});
-        if (shardCount > 1) {
-            for (auto &list : shardDirty)
-                list.reserve(cfg.numSlices);
-            // The calling thread drives shard 0, so N shards need N-1
-            // workers; the pool persists across windows (TaskGroup
-            // barriers join each round without re-spawning threads).
-            shardPool = std::make_unique<ThreadPool>(shardCount - 1);
-            shardGroup = std::make_unique<TaskGroup>(*shardPool);
-        }
-    }
-    // Default topology-aware mapping: lane k owns the contiguous,
-    // balanced slice group [floor(k*n/K), floor((k+1)*n/K)) — dense in
-    // slice-allocation order, never an empty lane while K <= n. Custom
-    // topologies go through setShardMapping() afterwards.
-    for (std::size_t s = 0; s < cfg.numSlices; ++s)
-        sliceShard[s] = static_cast<std::uint32_t>(
-            (s * shardCount) / cfg.numSlices);
-    rebuildLaneLists();
-}
-
-void
-CmpSystem::setShardMapping(std::vector<std::uint32_t> mapping)
-{
-    assert(dirtySlices.empty() &&
-           "setShardMapping must not interrupt an open batch window");
-    if (mapping.size() != cfg.numSlices)
-        throw std::invalid_argument(
-            "setShardMapping: mapping names " +
-            std::to_string(mapping.size()) + " slices, system has " +
-            std::to_string(cfg.numSlices));
-    for (const std::uint32_t lane : mapping)
-        if (lane >= shardCount)
-            throw std::invalid_argument(
-                "setShardMapping: lane " + std::to_string(lane) +
-                " out of range (shards = " + std::to_string(shardCount) +
-                ")");
-    sliceShard = std::move(mapping);
-    rebuildLaneLists();
-}
-
-void
-CmpSystem::rebuildLaneLists()
-{
-    laneSlices.assign(shardCount, {});
-    for (std::size_t s = 0; s < sliceShard.size(); ++s)
-        laneSlices[sliceShard[s]].push_back(
-            static_cast<std::uint32_t>(s));
 }
 
 void
@@ -238,41 +166,17 @@ CmpSystem::flush()
         }
     }
 
-    // Phase 1 — replay: slice-local directory work. Lanes own disjoint
-    // slices (the sliceShard mapping; contiguous groups by default),
-    // queues are fixed for the whole flush, and nothing here touches
-    // the private caches, so running the lanes concurrently cannot
-    // change any observable state.
-    if (shardCount > 1 && dirtySlices.size() > 1) {
-        for (std::size_t k = 1; k < shardCount; ++k) {
-            if (shardDirty[k].empty())
-                continue;
-            shardGroup->run([this, k] {
-                for (const std::uint32_t s : shardDirty[k])
-                    replaySlice(s);
-            });
-        }
-        for (const std::uint32_t s : shardDirty[0])
-            replaySlice(s);
-        shardGroup->wait(); // barrier between replay and apply
-    } else {
-        for (const std::uint32_t s : dirtySlices)
-            replaySlice(s);
-    }
-    for (auto &list : shardDirty)
-        list.clear();
-
-    // Phase 2 — apply: cache invalidations and system counters, on the
-    // calling thread in first-touch slice order with per-slice outcomes
-    // in staging order — the exact call sequence of the serial driver.
+    // One pass in first-touch order: replay a slice, then apply its
+    // outcomes. Replay touches only the slice's directory and queue and
+    // apply only the private caches and counters, so every object sees
+    // the call sequence a two-phase flush would give it.
     for (const std::uint32_t s : dirtySlices) {
+        replaySlice(s);
         SliceQueue &queue = queues[s];
         queue.dirty = false;
         applyDirectoryOutcomes(
-            s,
-            std::span<const DirRequest>(queue.requests.data(),
-                                        queue.requests.size()),
-            contexts[s]);
+            s, std::span<const DirRequest>(queue.requests.data(),
+                                           queue.requests.size()));
         queue.removals.clear();
         queue.requests.clear();
     }
@@ -284,13 +188,13 @@ CmpSystem::replaySlice(std::size_t s)
 {
     SliceQueue &queue = queues[s];
     Directory &dir = *slices[s];
-    DirAccessContext &ctx = contexts[s];
+    DirAccessContext &ctx = context;
     ctx.reset();
     // Replay the slice's operations in exact staging order: each
     // removal splits the requests into contiguous runs, and every run
     // between two removals goes through accessBatch at once. Outcomes
     // accumulate in the context — one per request, in request order —
-    // for the apply phase.
+    // for applyDirectoryOutcomes.
     std::size_t next_request = 0;
     for (const StagedRemoval &removal : queue.removals) {
         if (removal.beforeRequest > next_request) {
@@ -312,18 +216,18 @@ CmpSystem::replaySlice(std::size_t s)
 
 void
 CmpSystem::applyDirectoryOutcomes(std::size_t slice,
-                                  std::span<const DirRequest> requests,
-                                  const DirAccessContext &ctx)
+                                  std::span<const DirRequest> requests)
 {
+    const DirAccessContext &ctx = context;
     assert(ctx.size() == requests.size() &&
            "every request must yield exactly one outcome");
     for (std::size_t i = 0; i < ctx.size(); ++i) {
         const DirAccessOutcome &out = ctx.outcome(i);
         const DirRequest &req = requests[i];
 
-        // Timing: the apply phase runs serially in canonical order at
-        // any shard count, so accounting here keeps latency histograms
-        // bit-identical across --jobs x --shards for free.
+        // Timing: outcomes are applied in canonical order, so
+        // accounting here keeps latency histograms bit-identical across
+        // --jobs for free.
         if (costs != nullptr)
             counters.latency.add(costs->accessLatency(req, out, ctx, slice));
 
@@ -362,47 +266,11 @@ CmpSystem::access(const MemAccess &mem)
     flush();
 }
 
-void
-CmpSystem::run(SyntheticWorkload &workload, std::uint64_t count)
-{
-    const std::size_t window = std::max<std::size_t>(cfg.batchWindow, 1);
-    std::size_t staged = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        stage(workload.next());
-        if (++staged == window) {
-            flush();
-            staged = 0;
-        }
-    }
-    flush();
-}
-
-void
-CmpSystem::run(SyntheticWorkload &workload, std::uint64_t count,
-               std::uint64_t sample_every)
-{
-    assert(sample_every > 0);
-    const std::size_t window = std::max<std::size_t>(cfg.batchWindow, 1);
-    std::size_t staged = 0;
-    for (std::uint64_t i = 0; i < count; ++i) {
-        stage(workload.next());
-        ++staged;
-        const bool sample_due = (i + 1) % sample_every == 0;
-        if (staged == window || sample_due) {
-            flush();
-            staged = 0;
-        }
-        if (sample_due)
-            sampleOccupancy();
-    }
-    flush();
-}
-
 std::uint64_t
 CmpSystem::run(AccessSource &source, std::uint64_t count,
                std::uint64_t sample_every)
 {
-    const std::size_t window = std::max<std::size_t>(cfg.batchWindow, 1);
+    const std::size_t window = cfg.batchWindow;
     std::size_t staged = 0;
     std::uint64_t executed = 0;
     while (executed < count && !source.exhausted()) {
@@ -412,10 +280,9 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
         const bool sample_due =
             sample_every != 0 && executed % sample_every == 0;
         // Probe boundaries force a flush so the capture sees the state
-        // after *exactly* probe->accessesSeen() accesses — the serial
-        // apply has retired everything staged so far, making the
-        // snapshot independent of batch windowing position and shard
-        // count.
+        // after *exactly* probe->accessesSeen() accesses — the flush
+        // has applied everything staged so far, making the snapshot
+        // independent of batch windowing position.
         const bool probe_due =
             feedbackProbe != nullptr && feedbackProbe->tick();
         if (staged == window || sample_due || probe_due) {
@@ -434,39 +301,7 @@ CmpSystem::run(AccessSource &source, std::uint64_t count,
 void
 CmpSystem::sampleOccupancy()
 {
-    // Occupancy is a pure read of per-slice entry counts — and for the
-    // mirroring organizations validEntries() walks the slice's frames,
-    // so at large core counts one sample is real work. Shard the
-    // reduction: partial integer sums per shard, merged in shard index
-    // order (commutative, so the serial value is reproduced exactly).
-    if (shardCount > 1) {
-        for (std::size_t k = 1; k < shardCount; ++k) {
-            shardGroup->run(
-                [this, k] { shardOccupancy[k] = occupancySpan(k); });
-        }
-        shardOccupancy[0] = occupancySpan(0);
-        shardGroup->wait();
-        std::size_t valid = 0, total = 0;
-        for (const auto &[shard_valid, shard_total] : shardOccupancy) {
-            valid += shard_valid;
-            total += shard_total;
-        }
-        counters.directoryOccupancy.add(
-            total == 0 ? 0.0 : double(valid) / double(total));
-        return;
-    }
     counters.directoryOccupancy.add(currentOccupancy());
-}
-
-std::pair<std::size_t, std::size_t>
-CmpSystem::occupancySpan(std::size_t shard) const
-{
-    std::size_t valid = 0, total = 0;
-    for (const std::uint32_t s : laneSlices[shard]) {
-        valid += slices[s]->validEntries();
-        total += slices[s]->capacity();
-    }
-    return {valid, total};
 }
 
 std::size_t
@@ -536,59 +371,15 @@ CmpSystem::directoryCoversCaches() const
     // with a sharer set that names the holding cache. An *undersized*
     // sharer vector — a slice that cannot even name cache c — is a
     // coverage failure, never a silent pass.
-    DynamicBitset probe_sharers;
-    const auto covers = [this](CacheId cache, BlockAddr addr,
-                               DynamicBitset &sharers) {
-        if (!slices[sliceOf(addr)]->probe(tagOf(addr), &sharers))
-            return false;
-        return cache < sharers.size() && sharers.test(cache);
-    };
-
-    if (shardCount <= 1) {
-        for (std::size_t c = 0; c < caches.size(); ++c)
-            for (BlockAddr addr : caches[c]->residentAddresses())
-                if (!covers(static_cast<CacheId>(c), addr,
-                            probe_sharers))
-                    return false;
-        return true;
-    }
-
-    // Shard-aware: at large core counts the probe walk dominates, so
-    // enumerate every cache's resident set once, bucket the blocks by
-    // owning lane (the sliceShard mapping), and fan the probing out
-    // over the persistent shard lanes. Lanes probe disjoint slice state, making
-    // the fan-out race-free; only the scheduler is touched, hence the
-    // const_cast.
-    struct ResidentBlock
-    {
-        CacheId cache;
-        BlockAddr addr;
-    };
-    std::vector<std::vector<ResidentBlock>> lane_work(shardCount);
-    for (std::size_t c = 0; c < caches.size(); ++c)
-        for (BlockAddr addr : caches[c]->residentAddresses())
-            lane_work[shardOf(sliceOf(addr))].push_back(
-                ResidentBlock{static_cast<CacheId>(c), addr});
-
-    std::vector<char> covered(shardCount, 1);
-    const auto laneCovers = [this, &lane_work,
-                             &covers](std::size_t lane) {
-        DynamicBitset sharers;
-        for (const ResidentBlock &block : lane_work[lane])
-            if (!covers(block.cache, block.addr, sharers))
+    DynamicBitset sharers;
+    for (std::size_t c = 0; c < caches.size(); ++c) {
+        for (BlockAddr addr : caches[c]->residentAddresses()) {
+            if (!slices[sliceOf(addr)]->probe(tagOf(addr), &sharers) ||
+                c >= sharers.size() || !sharers.test(c))
                 return false;
-        return true;
-    };
-    auto *self = const_cast<CmpSystem *>(this);
-    for (std::size_t k = 1; k < shardCount; ++k) {
-        self->shardGroup->run([&laneCovers, &covered, k] {
-            covered[k] = laneCovers(k) ? 1 : 0;
-        });
+        }
     }
-    covered[0] = laneCovers(0) ? 1 : 0;
-    self->shardGroup->wait();
-    return std::all_of(covered.begin(), covered.end(),
-                       [](char ok) { return ok != 0; });
+    return true;
 }
 
 } // namespace cdir

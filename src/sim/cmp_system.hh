@@ -25,8 +25,8 @@
  *
  * Batched directory protocol: references are staged into per-slice
  * queues (sharer removals + DirRequests) and flushed through
- * Directory::accessBatch with one reusable DirAccessContext per slice,
- * so the steady-state loop performs zero heap allocations. With
+ * Directory::accessBatch with one reusable DirAccessContext, so the
+ * steady-state loop performs zero heap allocations. With
  * CmpConfig::batchWindow == 1 (the default) every reference is flushed
  * immediately and behaviour is bit-identical to the historical serial
  * driver; larger windows treat the window's references as concurrent
@@ -40,53 +40,23 @@
  * staged operation's directory slots (prefetchTag) before replay, so
  * their host-cache misses overlap.
  *
- * Sharded execution (setShards): the physical directory is distributed —
- * every block address maps to exactly one slice, so slices never share
- * state — and the driver exploits that inside a single experiment.
- * Each flush of a batch window runs in two phases:
- *
- *  1. *Replay* (parallel): dirty slices are partitioned across shard
- *     lanes by the slice->lane mapping. The default is topology-aware:
- *     each lane owns one *contiguous* group of ~numSlices/shards slice
- *     ids, so a lane's slice state (directories, queues, contexts —
- *     allocated in slice order) stays dense in memory instead of
- *     striding shardCount-sized gaps the way the historical
- *     `slice mod shardCount` assignment did; setShardMapping() installs
- *     any custom mapping. Each lane drives its slices' staged removals
- *     and request runs through the slice-local directory and context in
- *     exact staging order. Lanes touch disjoint slice/queue/context
- *     state, so the phase is race-free by construction, and a TaskGroup
- *     barrier joins it.
- *  2. *Apply* (serial, canonical first-touch order): the recorded
- *     outcomes are applied to the private caches and system counters by
- *     the calling thread — the identical call sequence the serial
- *     driver performs, because cache invalidations never feed back into
- *     directory work within a flush (queues are fixed at flush time and
- *     directories are only read/written in phase 1).
- *
- * Per-slice statistics, cache state, and therefore every merged
- * experiment metric are bit-identical at any shard count *and any
- * slice->lane mapping* — phase 2 always applies outcomes serially in
- * the first-touch dirtySlices order, which no mapping affects; only
- * wall-clock changes. Parallelism within a window is bounded by the
- * window's dirty-slice count, so sharding pays off with batchWindow >>
- * 1 (cells use CmpConfig::batchWindow; the determinism contract is
- * per-window, not across window sizes). Shard dispatch allocates O(ns)
- * task handles per window; the zero-allocation guarantee continues to
- * hold for the serial (shards <= 1) driver and for all per-slice
- * simulation state.
+ * A flush visits the dirty slices once, in first-touch order: it
+ * replays a slice into the context and applies that slice's outcomes
+ * to the private caches before moving on. Replay touches only the
+ * slice's directory and queue, apply only the private caches and the
+ * system counters, and no directory reads a private cache, so slices
+ * stay state-disjoint: the order is canonical, and the one context
+ * serves every slice.
  */
 
 #ifndef CDIR_SIM_CMP_SYSTEM_HH
 #define CDIR_SIM_CMP_SYSTEM_HH
 
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "common/stats.hh"
-#include "common/thread_pool.hh"
 #include "directory/directory.hh"
 #include "model/latency_histogram.hh"
 #include "workload/trace.hh"
@@ -168,7 +138,7 @@ struct CmpStats
     /**
      * Fold @p other into this accumulator (deterministic in any fixed
      * merge order); the counterpart of DirectoryStats::merge for
-     * combining per-shard or per-system counter blocks.
+     * combining per-system counter blocks.
      */
     void
     merge(const CmpStats &other)
@@ -201,16 +171,6 @@ class CmpSystem
     /** Drive one memory reference through the system. */
     void access(const MemAccess &access);
 
-    /** Run @p count accesses from @p workload. */
-    void run(SyntheticWorkload &workload, std::uint64_t count);
-
-    /**
-     * Run @p count accesses, sampling directory occupancy every
-     * @p sample_every accesses into stats().directoryOccupancy.
-     */
-    void run(SyntheticWorkload &workload, std::uint64_t count,
-             std::uint64_t sample_every);
-
     /**
      * Drive from any AccessSource (e.g. a trace reader) until @p count
      * accesses have run or the source is exhausted.
@@ -218,38 +178,6 @@ class CmpSystem
      */
     std::uint64_t run(AccessSource &source, std::uint64_t count,
                       std::uint64_t sample_every = 0);
-
-    /**
-     * Partition the slices across @p shards parallel execution lanes
-     * (see file comment). 1 (the default) keeps the serial driver and
-     * owns no threads; N > 1 spawns N-1 persistent workers — the
-     * calling thread drives shard 0 — and is clamped to numSlices().
-     * Results are bit-identical at every value; only wall-clock
-     * changes. Must not be called while a batch window is open (i.e.
-     * only between run()/access() calls).
-     */
-    void setShards(unsigned shards);
-
-    /** Parallel execution lanes in force (1 = serial). */
-    unsigned shards() const { return shardCount; }
-
-    /**
-     * Install an explicit slice->lane mapping (the topology hook).
-     * setShards() installs the default contiguous-group mapping; call
-     * this afterwards to override it — e.g. to co-locate slices by NUMA
-     * domain or mesh quadrant. Results are bit-identical under any
-     * mapping (see file comment); only locality/wall-clock changes.
-     * @param mapping one lane id per slice; every id < shards().
-     * @throws std::invalid_argument on a mis-sized mapping or an
-     *         out-of-range lane id.
-     */
-    void setShardMapping(std::vector<std::uint32_t> mapping);
-
-    /** Lane that owns @p slice under the mapping in force. */
-    std::size_t shardOfSlice(std::size_t slice) const
-    {
-        return sliceShard[slice];
-    }
 
     /**
      * Estimated host bytes of the simulated state: every directory
@@ -263,11 +191,11 @@ class CmpSystem
     /**
      * Attach @p model (non-owning; nullptr detaches): every directory
      * access outcome is charged model->accessLatency() cycles into
-     * stats().latency during the serial apply phase — canonical order
-     * at any shard count, so the histogram is bit-identical at any
-     * `--jobs` x `--shards` setting. With no model attached (the
-     * default) the measure path is exactly the unmodelled driver: one
-     * pointer test per outcome, no histogram storage.
+     * stats().latency as each slice's outcomes are applied, in
+     * canonical order, so the histogram is bit-identical at any
+     * `--jobs` setting. With no model attached (the default) the
+     * measure path is exactly the unmodelled driver: one pointer test
+     * per outcome, no histogram storage.
      */
     void setCostModel(const CostModel *model);
 
@@ -278,9 +206,9 @@ class CmpSystem
      * Attach @p probe (non-owning; nullptr detaches): the
      * AccessSource-driven run loop counts every access into it and, at
      * each probe boundary, flushes the open batch window and lets the
-     * probe capture the system state — after the serial apply phase,
-     * so the published snapshot (and every feedback decision taken
-     * from it) is bit-identical at any `--jobs` x `--shards` setting.
+     * probe capture the system state — after every staged outcome is
+     * applied, so the published snapshot (and every feedback decision
+     * taken from it) is bit-identical at any `--jobs` setting.
      * resetStats() re-baselines the probe's windowed deltas. With no
      * probe attached (the default) the run loop pays one pointer test
      * per access.
@@ -324,10 +252,6 @@ class CmpSystem
      * Invariant check (tests): every resident private-cache block is
      * tracked by its home slice, with a sharer set large enough to name
      * the holding cache (an undersized sharer vector fails the check).
-     * Shard-aware: with setShards(N > 1) the walk fans out across the
-     * persistent shard lanes — each lane probes only the slices it owns
-     * — so very large systems validate in parallel; the result is
-     * identical at any shard count.
      * @return true iff the directory covers all cached blocks.
      */
     bool directoryCoversCaches() const;
@@ -370,34 +294,18 @@ class CmpSystem
     /** Put @p slice on the dirty list if it is not there yet. */
     void markDirty(std::size_t slice);
 
-    /** Phases 2+3: drain every slice queue and apply the outcomes. */
+    /** Phases 2+3: replay and apply every dirty slice in turn. */
     void flush();
 
     /**
      * Replay one dirty slice's staged removals and request runs through
-     * its directory, accumulating every outcome into the slice context
-     * (application deferred to applySliceOutcomes). Slice-local: safe to
-     * run concurrently for distinct slices.
+     * its directory, accumulating every outcome into the context.
      */
     void replaySlice(std::size_t slice);
 
     /** Apply a replayed slice's batch outcomes to the private caches. */
     void applyDirectoryOutcomes(std::size_t slice,
-                                std::span<const DirRequest> requests,
-                                const DirAccessContext &ctx);
-
-    /** Shard lane owning @p slice under the mapping in force. */
-    std::size_t shardOf(std::size_t slice) const
-    {
-        return sliceShard[slice];
-    }
-
-    /** Rebuild the per-lane slice lists from sliceShard. */
-    void rebuildLaneLists();
-
-    /** (validEntries, capacity) summed over shard @p shard's slices. */
-    std::pair<std::size_t, std::size_t>
-    occupancySpan(std::size_t shard) const;
+                                std::span<const DirRequest> requests);
 
     CmpConfig cfg;
     std::size_t sliceMask;
@@ -407,27 +315,14 @@ class CmpSystem
     std::vector<SliceQueue> queues;
     /** Slices with staged work, in first-touch order. */
     std::vector<std::uint32_t> dirtySlices;
-    std::vector<DirAccessContext> contexts; //!< one per slice, reused
+    /** Outcomes of the slice being flushed; reused for every slice. */
+    DirAccessContext context;
     CmpStats counters;
     /** Attached timing model (non-owning; nullptr = timing off). */
     const CostModel *costs = nullptr;
     /** Attached feedback probe (non-owning; nullptr = feedback off). */
     SystemProbe *feedbackProbe = nullptr;
 
-    // --- shard scheduler (see file comment; serial when shardCount <= 1) ---
-    unsigned shardCount = 1;
-    /** Lane id per slice (default: contiguous groups; see setShards). */
-    std::vector<std::uint32_t> sliceShard;
-    /** Slice ids owned by each lane (the mapping, inverted). */
-    std::vector<std::vector<std::uint32_t>> laneSlices;
-    /** Per-shard dirty-slice lists (subsequences of dirtySlices). */
-    std::vector<std::vector<std::uint32_t>> shardDirty;
-    /** Per-shard occupancy partial sums, merged in shard order. */
-    std::vector<std::pair<std::size_t, std::size_t>> shardOccupancy;
-    /** Pool of shardCount-1 workers; group declared first so the pool
-     *  (destroyed first, joining its threads) can never outlive it. */
-    std::unique_ptr<TaskGroup> shardGroup;
-    std::unique_ptr<ThreadPool> shardPool;
 };
 
 } // namespace cdir

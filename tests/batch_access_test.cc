@@ -215,7 +215,7 @@ TEST(BatchAccess, WindowedRunsKeepCoverageForEveryOrganization)
     for (const std::string &name : DirectoryRegistry::instance().names()) {
         for (const std::size_t window : {std::size_t{4}, std::size_t{64}}) {
             CmpSystem sys(tinyConfig(name, window));
-            SyntheticWorkload gen(tinyWorkload(11));
+            SyntheticSource gen(tinyWorkload(11));
             sys.run(gen, 20000);
             EXPECT_TRUE(sys.directoryCoversCaches())
                 << name << " window " << window;
@@ -233,7 +233,7 @@ TEST(BatchAccess, WindowOfOneMatchesPerReferenceDriver)
           std::string("DuplicateTag"), std::string("Tagless")}) {
         CmpSystem batched(tinyConfig(name, 1));
         CmpSystem serial(tinyConfig(name, 1));
-        SyntheticWorkload gen_a(tinyWorkload(5));
+        SyntheticSource gen_a(tinyWorkload(5));
         SyntheticWorkload gen_b(tinyWorkload(5));
 
         batched.run(gen_a, 30000);
@@ -429,7 +429,7 @@ TEST(BatchAccess, SteadyStateSystemRunIsAllocationFree)
     // CmpSystem::run() performs zero heap allocations per access.
     CmpConfig cfg = tinyConfig("Cuckoo", 16);
     CmpSystem sys(cfg);
-    SyntheticWorkload gen(tinyWorkload(29));
+    SyntheticSource gen(tinyWorkload(29));
     sys.run(gen, 50000); // warmup: caches fill, pools grow
     const std::size_t before = allocationCount();
     sys.run(gen, 50000); // steady state

@@ -3,14 +3,14 @@
  * Cost-model and latency-histogram coverage:
  *
  *  - LatencyHistogram bucket geometry round-trips, nearest-rank
- *    percentile pins, exact merge (sharded partials reproduce the
- *    single accumulator bit for bit), prefix subtraction, and the
+ *    percentile pins, exact merge (partials reproduce the single
+ *    accumulator bit for bit), prefix subtraction, and the
  *    unallocated == all-zero equality contract;
  *  - FixedLatencyCostModel / MeshCostModel latency arithmetic against
  *    hand-built outcomes, mesh geometry, and the factory;
  *  - experiment integration: the untimed path allocates no histogram
  *    and a timed run leaves every behavioural counter untouched;
- *    latency percentiles are bit-identical across --jobs x --shards;
+ *    latency percentiles are bit-identical across --jobs;
  *    interval-window histograms sum exactly to the whole-run one;
  *  - golden pins: exact p50/p99 for a committed fixture trace under
  *    both models on the fixed golden replay CMP.
@@ -438,13 +438,21 @@ TEST(CostModelExperiment, TimingNeverChangesBehaviouralCounters)
     }
 }
 
-TEST(CostModelExperiment, PercentilesBitIdenticalAcrossJobsAndShards)
+TEST(CostModelExperiment, PercentilesBitIdenticalAcrossJobs)
 {
-    // The canonical-order apply phase does the accounting, so latency
-    // histograms inherit the --jobs x --shards determinism contract.
+    // Outcomes are charged in canonical order, so latency histograms
+    // inherit the --jobs determinism contract. Four cells give the
+    // parallel runs something to interleave.
     SweepSpec spec;
     spec.config("Cuckoo 4x64", smallConfig());
+    CmpConfig sparse = smallConfig();
+    sparse.directory = sparseSliceParams(8, 32);
+    spec.config("Sparse 8x32", sparse);
+    WorkloadParams other = smallWorkload();
+    other.name = "wl2";
+    other.seed = 12;
     spec.workload("wl", smallWorkload());
+    spec.workload("wl2", other);
     ExperimentOptions opts;
     opts.warmupAccesses = 5000;
     opts.measureAccesses = 20000;
@@ -454,28 +462,20 @@ TEST(CostModelExperiment, PercentilesBitIdenticalAcrossJobsAndShards)
 
     const std::vector<SweepRecord> baseline =
         SweepRunner(SweepOptions{1, ""}).run(spec);
-    ASSERT_EQ(baseline.size(), 1u);
-    const LatencyHistogram &expect = baseline[0].result.system.latency;
-    ASSERT_FALSE(expect.empty());
-
-    for (const unsigned shards : {2u, 4u}) {
-        for (const unsigned jobs : {1u, 4u}) {
-            SweepSpec sharded;
-            sharded.config("Cuckoo 4x64", smallConfig());
-            sharded.workload("wl", smallWorkload());
-            ExperimentOptions sharded_opts = opts;
-            sharded_opts.shards = shards;
-            sharded.options("mesh", sharded_opts);
-            const std::vector<SweepRecord> records =
-                SweepRunner(SweepOptions{jobs, ""}).run(sharded);
-            ASSERT_EQ(records.size(), 1u);
-            const ExperimentResult &result = records[0].result;
-            EXPECT_TRUE(result.system.latency == expect)
-                << "shards " << shards << " jobs " << jobs;
-            EXPECT_EQ(result.latencyP50, baseline[0].result.latencyP50);
-            EXPECT_EQ(result.latencyP99, baseline[0].result.latencyP99);
-            EXPECT_EQ(result.latencyP999,
-                      baseline[0].result.latencyP999);
+    ASSERT_EQ(baseline.size(), 4u);
+    for (const unsigned jobs : {2u, 4u}) {
+        const std::vector<SweepRecord> records =
+            SweepRunner(SweepOptions{jobs, ""}).run(spec);
+        ASSERT_EQ(records.size(), baseline.size());
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const ExperimentResult &expect = baseline[i].result;
+            const ExperimentResult &result = records[i].result;
+            ASSERT_FALSE(expect.system.latency.empty());
+            EXPECT_TRUE(result.system.latency == expect.system.latency)
+                << "jobs " << jobs << " cell " << i;
+            EXPECT_EQ(result.latencyP50, expect.latencyP50);
+            EXPECT_EQ(result.latencyP99, expect.latencyP99);
+            EXPECT_EQ(result.latencyP999, expect.latencyP999);
         }
     }
 }

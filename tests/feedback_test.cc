@@ -8,7 +8,7 @@
  *  - event-triggered scenarios: triggers fire at probe boundaries,
  *    never-firing triggers change nothing, firings during warmup are
  *    honoured, and every closed-loop stat — counters, firing log,
- *    digest — is bit-identical across --jobs and --shards settings;
+ *    digest — is bit-identical across runs and --jobs settings;
  *  - a recorded closed-loop run replays as an ordinary trace with
  *    bit-identical system state (the trace embodies every decision);
  *  - latency triggers without a cost model fail loudly up front;
@@ -81,13 +81,12 @@ triggeredScenarioFile(const char *name, double threshold,
 }
 
 ExperimentOptions
-feedbackOptions(unsigned shards = 1)
+feedbackOptions()
 {
     ExperimentOptions opts;
     opts.warmupAccesses = 2000;
     opts.measureAccesses = 12000;
     opts.occupancySampleEvery = 500;
-    opts.shards = shards;
     return opts;
 }
 
@@ -308,14 +307,14 @@ TEST(TriggeredScenario, FiringDuringWarmupIsHonoured)
     const WorkloadParams wl = scenarioWorkloadParams(
         triggeredScenarioFile("cdir_fb_warm.scn", 0.02, 250));
     const ExperimentResult one =
-        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions(1));
+        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions());
     EXPECT_GE(one.feedbackEvents, 1u);
-    const ExperimentResult three =
-        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions(3));
-    expectSameCoreStats(one, three, "warmup firing, shards 1 vs 3");
+    const ExperimentResult again =
+        runExperiment(tinyConfig("Cuckoo"), wl, feedbackOptions());
+    expectSameCoreStats(one, again, "warmup firing, rerun");
 }
 
-TEST(TriggeredScenario, BitIdenticalAcrossJobsAndShards)
+TEST(TriggeredScenario, BitIdenticalAcrossJobs)
 {
     const std::string file =
         triggeredScenarioFile("cdir_fb_sweep.scn", 0.25, 500);
@@ -324,12 +323,13 @@ TEST(TriggeredScenario, BitIdenticalAcrossJobsAndShards)
     appendScenarioWorkloads(spec, file);
     spec.config("Cuckoo", tinyConfig("Cuckoo"));
     spec.config("Sparse", tinyConfig("Sparse"));
+    spec.config("Skewed", tinyConfig("Skewed"));
 
     const std::vector<SweepRecord> serial =
         SweepRunner(SweepOptions{1, ""}).run(spec);
     const std::vector<SweepRecord> parallel =
         SweepRunner(SweepOptions{4, ""}).run(spec);
-    ASSERT_EQ(serial.size(), 2u);
+    ASSERT_EQ(serial.size(), 3u);
     ASSERT_EQ(parallel.size(), serial.size());
     bool anyFired = false;
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -339,13 +339,6 @@ TEST(TriggeredScenario, BitIdenticalAcrossJobsAndShards)
     }
     EXPECT_TRUE(anyFired) << "test scenario never triggered; the "
                              "determinism pin is vacuous";
-
-    const WorkloadParams wl = scenarioWorkloadParams(file);
-    const ExperimentResult one =
-        runExperiment(tinyConfig("Skewed"), wl, feedbackOptions(1));
-    const ExperimentResult three =
-        runExperiment(tinyConfig("Skewed"), wl, feedbackOptions(3));
-    expectSameCoreStats(one, three, "shards 1 vs 3");
 }
 
 TEST(TriggeredScenario, RecordedClosedLoopRunReplaysAsPlainTrace)
@@ -761,14 +754,13 @@ TEST(SloRamp, ExperimentSurfacesKneeDeterministically)
     EXPECT_GE(one.feedbackEvents, 1u);
     EXPECT_GE(one.rampFinalLevel, 1u);
 
-    opts.shards = 3;
-    const ExperimentResult three =
+    const ExperimentResult again =
         runExperiment(tinyConfig("Cuckoo"), wl, opts);
-    expectSameCoreStats(one, three, "slo-ramp shards 1 vs 3");
-    EXPECT_EQ(one.rampFinalLevel, three.rampFinalLevel);
-    EXPECT_EQ(one.rampKneeLevel, three.rampKneeLevel);
-    EXPECT_EQ(one.rampKneeMetric, three.rampKneeMetric);
-    EXPECT_EQ(one.rampCrossMetric, three.rampCrossMetric);
+    expectSameCoreStats(one, again, "slo-ramp rerun");
+    EXPECT_EQ(one.rampFinalLevel, again.rampFinalLevel);
+    EXPECT_EQ(one.rampKneeLevel, again.rampKneeLevel);
+    EXPECT_EQ(one.rampKneeMetric, again.rampKneeMetric);
+    EXPECT_EQ(one.rampCrossMetric, again.rampCrossMetric);
 }
 
 TEST(SloRamp, ResultFieldsRoundTripThroughCampaignJson)

@@ -99,7 +99,7 @@ measureDigest(const FormatCell &cell)
     WorkloadParams params =
         paperWorkloadParams(PaperWorkload::OltpDb2, true, cell.caches);
     params.seed = 2026;
-    SyntheticWorkload workload(params);
+    SyntheticSource workload(params);
     const std::uint64_t accesses = cell.caches > 64 ? 120000 : 60000;
     system.run(workload, accesses, 5000);
     return test::systemDigest(system);

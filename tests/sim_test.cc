@@ -211,7 +211,7 @@ TEST_P(SimInvariant, DirectoryCoversCachesUnderRandomLoad)
     // hierarchies, throughout a random run.
     auto cfg = tinyConfig(GetParam().config, GetParam().dir);
     CmpSystem sys(cfg);
-    SyntheticWorkload w(tinyWorkload());
+    SyntheticSource w(tinyWorkload());
     for (int round = 0; round < 20; ++round) {
         sys.run(w, 2000);
         ASSERT_TRUE(sys.directoryCoversCaches()) << "round " << round;
@@ -238,7 +238,7 @@ TEST(CmpSystem, OccupancySamplingIsBounded)
 {
     auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
     CmpSystem sys(cfg);
-    SyntheticWorkload w(tinyWorkload());
+    SyntheticSource w(tinyWorkload());
     sys.run(w, 20000, 500);
     const double occ = sys.stats().directoryOccupancy.mean();
     EXPECT_GT(occ, 0.0);
@@ -250,7 +250,7 @@ TEST(CmpSystem, AggregateStatsSumSlices)
 {
     auto cfg = tinyConfig(CmpConfigKind::SharedL2, DirectoryKind::Cuckoo);
     CmpSystem sys(cfg);
-    SyntheticWorkload w(tinyWorkload());
+    SyntheticSource w(tinyWorkload());
     sys.run(w, 10000);
     const auto agg = sys.aggregateDirectoryStats();
     std::uint64_t lookups = 0;
@@ -281,7 +281,7 @@ TEST(CmpSystem, ForcedInvalidationsRemoveCachedBlocks)
     cfg.directory.ways = 1;
     cfg.directory.sets = 8; // 8 entries per slice, far below demand
     CmpSystem sys(cfg);
-    SyntheticWorkload w(tinyWorkload());
+    SyntheticSource w(tinyWorkload());
     sys.run(w, 20000);
     EXPECT_GT(sys.stats().forcedInvalidations, 0u);
     ASSERT_TRUE(sys.directoryCoversCaches());
