@@ -167,16 +167,15 @@ CmpSystem::flush()
     }
 
     // One pass in first-touch order: replay a slice, then apply its
-    // outcomes. Replay touches only the slice's directory and queue and
-    // apply only the private caches and counters, so every object sees
-    // the call sequence a two-phase flush would give it.
+    // outcomes. Replay touches only the slice's directory and queue,
+    // apply only the private caches and counters, and no directory
+    // reads a private cache, so each slice's outcomes are final before
+    // the next slice replays.
     for (const std::uint32_t s : dirtySlices) {
         replaySlice(s);
+        applyDirectoryOutcomes(s);
         SliceQueue &queue = queues[s];
         queue.dirty = false;
-        applyDirectoryOutcomes(
-            s, std::span<const DirRequest>(queue.requests.data(),
-                                           queue.requests.size()));
         queue.removals.clear();
         queue.requests.clear();
     }
@@ -188,8 +187,7 @@ CmpSystem::replaySlice(std::size_t s)
 {
     SliceQueue &queue = queues[s];
     Directory &dir = *slices[s];
-    DirAccessContext &ctx = context;
-    ctx.reset();
+    context.reset();
     // Replay the slice's operations in exact staging order: each
     // removal splits the requests into contiguous runs, and every run
     // between two removals goes through accessBatch at once. Outcomes
@@ -201,7 +199,7 @@ CmpSystem::replaySlice(std::size_t s)
             dir.accessBatch(std::span<const DirRequest>(
                                 queue.requests.data() + next_request,
                                 removal.beforeRequest - next_request),
-                            ctx);
+                            context);
             next_request = removal.beforeRequest;
         }
         dir.removeSharer(removal.tag, removal.cache);
@@ -210,14 +208,14 @@ CmpSystem::replaySlice(std::size_t s)
         dir.accessBatch(std::span<const DirRequest>(
                             queue.requests.data() + next_request,
                             queue.requests.size() - next_request),
-                        ctx);
+                        context);
     }
 }
 
 void
-CmpSystem::applyDirectoryOutcomes(std::size_t slice,
-                                  std::span<const DirRequest> requests)
+CmpSystem::applyDirectoryOutcomes(std::size_t slice)
 {
+    const std::vector<DirRequest> &requests = queues[slice].requests;
     const DirAccessContext &ctx = context;
     assert(ctx.size() == requests.size() &&
            "every request must yield exactly one outcome");

@@ -304,8 +304,7 @@ class CmpSystem
     void replaySlice(std::size_t slice);
 
     /** Apply a replayed slice's batch outcomes to the private caches. */
-    void applyDirectoryOutcomes(std::size_t slice,
-                                std::span<const DirRequest> requests);
+    void applyDirectoryOutcomes(std::size_t slice);
 
     CmpConfig cfg;
     std::size_t sliceMask;
